@@ -4,103 +4,9 @@ A simulated far-memory space with page-granular swapping, a collective
 allocator that routes allocations to purely-local, plain-swappable, or
 per-page sub-allocators, placement-aware B-tree and skip-list containers,
 link-locality metrics, and a deterministic key-value swap benchmark.
+Import from the submodules: ``farloc.farmem``, ``farloc.collective``,
+``farloc.containers``, ``farloc.metrics``, ``farloc.workload`` and
+``farloc.cli``.
 """
-from .collective import (
-    CollectiveAllocator,
-    HintAllocator,
-    Kind,
-    ObjectLayout,
-    SubAllocatorRef,
-)
-from .containers import (
-    OCCUPANCY_LIMIT,
-    BTree,
-    BTreeVariant,
-    SkipList,
-    SkipListVariant,
-)
-from .farmem import (
-    LOCAL_BASE,
-    NULL_HANDLE,
-    SWAP_BASE,
-    CapacityExhausted,
-    ConfigError,
-    FarlocError,
-    Handle,
-    PageId,
-    Space,
-    SpaceConfig,
-    SwapStats,
-    UsageError,
-)
-from .metrics import (
-    LinkClass,
-    LinkComposition,
-    classify_link,
-    link_composition,
-    parent_page_mismatch_fraction,
-)
-from .workload import (
-    VARIANTS,
-    BenchConfig,
-    BenchReport,
-    QueryOp,
-    ZipfSampler,
-    build_placement,
-    fnv64,
-    fnv64_batch,
-    local_budget,
-    placement_keys,
-    query_script,
-    run_benchmark,
-    run_queries,
-    variant_uses_local,
-    zipf_sample,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "LOCAL_BASE",
-    "NULL_HANDLE",
-    "OCCUPANCY_LIMIT",
-    "SWAP_BASE",
-    "VARIANTS",
-    "BTree",
-    "BTreeVariant",
-    "BenchConfig",
-    "BenchReport",
-    "CapacityExhausted",
-    "CollectiveAllocator",
-    "ConfigError",
-    "FarlocError",
-    "Handle",
-    "HintAllocator",
-    "Kind",
-    "LinkClass",
-    "LinkComposition",
-    "ObjectLayout",
-    "PageId",
-    "QueryOp",
-    "SkipList",
-    "SkipListVariant",
-    "Space",
-    "SpaceConfig",
-    "SubAllocatorRef",
-    "SwapStats",
-    "UsageError",
-    "ZipfSampler",
-    "build_placement",
-    "classify_link",
-    "fnv64",
-    "fnv64_batch",
-    "link_composition",
-    "local_budget",
-    "parent_page_mismatch_fraction",
-    "placement_keys",
-    "query_script",
-    "run_benchmark",
-    "run_queries",
-    "variant_uses_local",
-    "zipf_sample",
-]

@@ -7,7 +7,9 @@ variant x L x alpha x update-ratio and writes CSV:
 * links report: structural-link composition ratios per cell
 
 Cells are independent; FARLOC_THREADS > 1 fans them out over a process
-pool.  Row order always follows the sweep order, not completion order.
+pool of at most one worker per cell and per CPU.  Row order always follows
+the sweep order, not completion order.  Every cell is validated before the
+first one is built.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .farmem import FarlocError
+from .farmem import ConfigError, FarlocError
 from .workload import VARIANTS, BenchConfig, BenchReport, run_benchmark
 
 SWAPS_HEADER = ["variant", "L_percent", "alpha", "update_ratio",
@@ -101,12 +103,19 @@ def parse_args(argv=None) -> tuple[SweepSpec, str, str]:
 
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[BenchReport]:
     """One report per cell, in sweep order.  threads=None reads
-    FARLOC_THREADS (default 1; >1 uses a process pool)."""
+    FARLOC_THREADS (default 1); more than one worker uses a process pool,
+    which starts all its workers at once under fork, so it never gets more
+    workers than cells or CPUs."""
     cells = spec.cells()
     if threads is None:
-        threads = int(os.environ.get("FARLOC_THREADS", "1") or "1")
-    if threads > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        raw = os.environ.get("FARLOC_THREADS", "1") or "1"
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ConfigError(f"FARLOC_THREADS must be an integer, got {raw!r}") from None
+    workers = min(threads, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_benchmark, cells))
     return [run_benchmark(cell) for cell in cells]
 
@@ -142,6 +151,8 @@ def _links_path(out_path: Path) -> Path:
 def main(argv=None) -> int:
     spec, out_path, report = parse_args(argv)
     try:
+        for cell in spec.cells():
+            cell.validate()
         reports = run_sweep(spec)
         if out_path == "-":
             if report in ("swaps", "both"):

@@ -1,5 +1,6 @@
 """Placement-aware ordered containers over the collective allocator."""
-from .btree import OCCUPANCY_LIMIT, BTree, BTreeVariant
+from .btree import BTree, BTreeVariant
+from .placement import OCCUPANCY_LIMIT
 from .skiplist import SkipList, SkipListVariant
 
 __all__ = [

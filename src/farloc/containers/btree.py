@@ -18,19 +18,18 @@ placement variant decides where a node created by a split lands:
 
 Nodes are kept on a priority list ordered by non-decreasing depth; in the
 local variants the purely-local nodes always form a prefix of that list and
-``least_priority`` names the prefix's last node.
+``least_priority`` names the prefix's last node.  The list, the eviction
+and the rearrangement destinations are shared with the skip list
+(``placement.py``).
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from enum import Enum
 
-from ..collective import CollectiveAllocator, HintAllocator, Kind, ObjectLayout
-from ..farmem import CapacityExhausted, ConfigError, Handle, UsageError
-
-# A batch rearrangement moves to a fresh per-page sub-allocator once the
-# current one's occupancy reaches this fraction of the page.
-OCCUPANCY_LIMIT = 0.7
+from ..collective import ObjectLayout
+from ..farmem import ConfigError, Handle, UsageError
+from .placement import PlacedContainer
 
 
 class BTreeVariant(Enum):
@@ -43,26 +42,25 @@ class BTreeVariant(Enum):
     LOCAL_VEB = "local+veb"
 
 
-_LOCAL_VARIANTS = frozenset(
-    {BTreeVariant.LOCAL, BTreeVariant.LOCAL_DFS, BTreeVariant.LOCAL_VEB})
 _PARENT_ANCHOR_VARIANTS = frozenset(
     {BTreeVariant.DFS, BTreeVariant.LOCAL_DFS, BTreeVariant.VEB, BTreeVariant.LOCAL_VEB})
 
 
 class _Node:
-    __slots__ = ("keys", "vals", "children", "parent", "prev", "next", "leaf")
+    __slots__ = ("keys", "vals", "children", "parent", "prev", "next", "leaf", "size")
 
-    def __init__(self, keys, vals, children, parent, prev, nxt, leaf):
+    def __init__(self, keys, vals, children, parent, leaf, size):
         self.keys = keys
         self.vals = vals
         self.children = children
         self.parent = parent
-        self.prev = prev
-        self.next = nxt
+        self.prev = 0
+        self.next = 0
         self.leaf = leaf
+        self.size = size
 
 
-class BTree:
+class BTree(PlacedContainer):
     """Order-``order`` B-tree (max ``order - 1`` keys per node).
 
     Duplicate-key inserts are no-ops.  Values are byte strings of at most
@@ -70,53 +68,27 @@ class BTree:
     occupancy arithmetic is exact.
     """
 
+    _HINT = BTreeVariant.HINT
+    _LOCAL_VARIANTS = frozenset(
+        {BTreeVariant.LOCAL, BTreeVariant.LOCAL_DFS, BTreeVariant.LOCAL_VEB})
+    _REARRANGING = frozenset(BTreeVariant) - {BTreeVariant.PLAIN, BTreeVariant.LOCAL}
+
     def __init__(self, allocator, variant: BTreeVariant, *,
                  order: int = 5, value_slot: int = 152):
         if order < 3:
             raise ConfigError(f"order must be >= 3, got {order}")
-        if value_slot < 1:
-            raise ConfigError(f"value slot must be positive, got {value_slot}")
-        self._variant = variant
-        if variant is BTreeVariant.HINT:
-            if not isinstance(allocator, HintAllocator):
-                raise ConfigError("hint variant needs a HintAllocator")
-            self._halloc = allocator
-            self._alloc = None
-        else:
-            if not isinstance(allocator, CollectiveAllocator):
-                raise ConfigError(f"{variant.value} variant needs a CollectiveAllocator")
-            self._alloc = allocator
-            self._halloc = None
-        self._space = allocator.space
+        super().__init__(allocator, variant, value_slot)
         self._order = order
         self._max_keys = order - 1
         self._min_keys = (order + 1) // 2 - 1
-        self._value_slot = value_slot
         # keys + value slots + child pointers + parent + prev + next + count
         self._block = (order - 1) * 8 + (order - 1) * value_slot + order * 8 + 8 * 3 + 8
         self._layout = ObjectLayout(self._block, 8)
-        self._uses_local = variant in _LOCAL_VARIANTS
-        self._nodes: dict[Handle, _Node] = {}
+        self._layouts[self._block] = self._layout
         self._root: Handle = 0
         self._height = 0
-        self._size = 0
-        self._prio_head: Handle = 0
-        self._prio_tail: Handle = 0
-        self._least_priority: Handle = 0
 
     # -- basic properties ------------------------------------------------
-
-    @property
-    def space(self):
-        return self._space
-
-    @property
-    def variant(self) -> BTreeVariant:
-        return self._variant
-
-    @property
-    def has_rearrangement(self) -> bool:
-        return self._variant not in (BTreeVariant.PLAIN, BTreeVariant.LOCAL)
 
     @property
     def height(self) -> int:
@@ -125,13 +97,6 @@ class BTree:
     @property
     def node_block_bytes(self) -> int:
         return self._block
-
-    @property
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    def __len__(self) -> int:
-        return self._size
 
     # -- queries ---------------------------------------------------------
 
@@ -238,37 +203,31 @@ class BTree:
         is already present."""
         self._check_value(value)
         if not self._root:
-            h = self._place_first_root()
-            self._nodes[h] = _Node([key], [value], [], 0, 0, 0, True)
-            self._space.touch(h, self._block, True)
-            self._prio_head = self._prio_tail = h
-            if self._space.is_purely_local(h):
-                self._least_priority = h
+            h = self._place_root(())
+            self._nodes[h] = _Node([key], [value], [], 0, True, self._block)
+            self._splice_after(0, h)
             self._root = h
             self._height = 1
             self._size = 1
             return True
         baby, sep_k, sep_v, inserted = self._ins_rec(self._root, key, value)
         if baby:
-            old_root = self._root
-            new_h, (old_root, baby) = self._place_new_root(old_root, (old_root, baby))
-            self._nodes[new_h] = _Node([sep_k], [sep_v], [old_root, baby], 0, 0, 0, False)
+            held = [self._root, baby]
+            new_h = self._place_root(held)
+            old_root, baby = held
+            self._nodes[new_h] = _Node([sep_k], [sep_v], [old_root, baby], 0, False,
+                                       self._block)
             self._space.touch(new_h, self._block, True)
             self._nodes[old_root].parent = new_h
             self._space.touch(old_root, self._block, True)
             self._nodes[baby].parent = new_h
             self._space.touch(baby, self._block, True)
-            self._splice_head(new_h)
+            self._splice_after(0, new_h)
             self._root = new_h
             self._height += 1
         if inserted:
             self._size += 1
         return inserted
-
-    def _check_value(self, value: bytes) -> None:
-        if len(value) > self._value_slot:
-            raise UsageError(
-                f"value of {len(value)} bytes exceeds the {self._value_slot}-byte slot")
 
     def _ins_rec(self, h: Handle, key: int, value: bytes):
         node = self._nodes[h]
@@ -283,7 +242,7 @@ class BTree:
                 node.vals.insert(i, value)
                 self._space.touch(h, self._block, True)
                 return 0, None, None, True
-            new_h, _ = self._place_node(h, ())
+            new_h = self._place_sibling(h, ())
             sep_k, sep_v = self._split_leaf(h, new_h, i, key, value)
             return new_h, sep_k, sep_v, True
         baby, sep_k, sep_v, inserted = self._ins_rec(node.children[i], key, value)
@@ -295,8 +254,9 @@ class BTree:
             node.children.insert(i + 1, baby)
             self._space.touch(h, self._block, True)
             return 0, None, None, inserted
-        new_h, (baby,) = self._place_node(h, (baby,))
-        sep2_k, sep2_v = self._split_internal(h, new_h, i, sep_k, sep_v, baby)
+        held = [baby]
+        new_h = self._place_sibling(h, held)
+        sep2_k, sep2_v = self._split_internal(h, new_h, i, sep_k, sep_v, held[0])
         return new_h, sep2_k, sep2_v, inserted
 
     def _split_leaf(self, h, new_h, i, key, value):
@@ -305,7 +265,7 @@ class BTree:
         keys.insert(i, key)
         vals.insert(i, value)
         mid = self._max_keys // 2
-        right = _Node(keys[mid + 1:], vals[mid + 1:], [], node.parent, 0, 0, True)
+        right = _Node(keys[mid + 1:], vals[mid + 1:], [], node.parent, True, self._block)
         sep_k, sep_v = keys[mid], vals[mid]
         del keys[mid:]
         del vals[mid:]
@@ -323,7 +283,7 @@ class BTree:
         children.insert(i + 1, baby)
         mid = self._max_keys // 2
         right = _Node(keys[mid + 1:], vals[mid + 1:], children[mid + 1:],
-                      node.parent, 0, 0, False)
+                      node.parent, False, self._block)
         up_k, up_v = keys[mid], vals[mid]
         del keys[mid:]
         del vals[mid:]
@@ -339,110 +299,24 @@ class BTree:
 
     # -- node placement --------------------------------------------------
 
-    def _alloc_plain(self) -> Handle:
-        return self._alloc.sub_allocate(self._alloc.swappable_plain, 1, self._layout)
-
-    def _place_first_root(self) -> Handle:
-        if self._variant is BTreeVariant.HINT:
+    def _place_root(self, held) -> Handle:
+        """Block for a new root; ``held`` holds the old root and its new
+        sibling, or nothing for the first root."""
+        if self._halloc is not None:
             return self._halloc.allocate(1, self._layout, None)
-        if self._uses_local:
-            try:
-                return self._alloc.sub_allocate(self._alloc.purely_local, 1, self._layout)
-            except CapacityExhausted:
-                pass
-        return self._alloc_plain()
+        if held:
+            return self._place_near(held[0], 0, self._layout, held)
+        return self._place_first(self._layout, held)
 
-    def _place_new_root(self, old_root: Handle, tracked):
-        if self._variant is BTreeVariant.HINT:
-            return self._halloc.allocate(1, self._layout, None), tracked
-        if self._variant is BTreeVariant.PLAIN:
-            return self._alloc_plain(), tracked
-        return self._place_with_collective(old_root, old_root, tracked, at_head=True)
-
-    def _place_node(self, split_h: Handle, tracked):
-        """Allocate the block for the new sibling created by splitting
-        ``split_h``; returns the handle plus the (possibly relocated)
-        tracked handles."""
-        variant = self._variant
-        if variant is BTreeVariant.HINT:
-            parent = self._nodes[split_h].parent
-            return self._halloc.allocate(1, self._layout, parent or None), tracked
-        if variant is BTreeVariant.PLAIN:
-            return self._alloc_plain(), tracked
-        if variant in _PARENT_ANCHOR_VARIANTS:
-            anchor = self._nodes[split_h].parent or split_h
-        else:
-            anchor = split_h
-        return self._place_with_collective(split_h, anchor, tracked)
-
-    def _place_with_collective(self, split_h, anchor, tracked, at_head=False):
-        alloc = self._alloc
-        try:
-            ref = alloc.get_suballocator_by_handle(anchor)
-            h = alloc.sub_allocate(ref, 1, self._layout)
-            if not at_head and self._least_priority == split_h:
-                self._least_priority = h
-            return h, tracked
-        except CapacityExhausted:
-            pass
-        if (self._uses_local
-                and (at_head or self._least_priority != split_h)
-                and alloc.if_suballocator_contains(alloc.purely_local, split_h)):
-            # Evicting the node being split would invalidate the caller's
-            # handle, so an ordinary split stops short of it.  A new root
-            # outranks everything and its caller re-reads the old root
-            # through ``tracked``, so there the whole prefix is fair game.
-            pl = alloc.purely_local
-            while True:
-                lp = self._least_priority
-                if not lp or (not at_head and lp == split_h):
-                    return self._alloc_plain(), tracked
-                prev = self._nodes[lp].prev
-                new_lp = self.relocate_to_swappable(lp)
-                if tracked and lp in tracked:
-                    tracked = tuple(new_lp if t == lp else t for t in tracked)
-                self._least_priority = prev
-                try:
-                    h = alloc.sub_allocate(pl, 1, self._layout)
-                except CapacityExhausted:
-                    continue
-                if at_head:
-                    if not prev:
-                        self._least_priority = h
-                elif prev == split_h:
-                    self._least_priority = h
-                return h, tracked
-        return self._alloc_plain(), tracked
-
-    # -- priority list ---------------------------------------------------
-
-    def _splice_after(self, anchor_h: Handle, new_h: Handle) -> None:
-        node = self._nodes[new_h]
-        anchor = self._nodes[anchor_h]
-        nxt = anchor.next
-        node.prev = anchor_h
-        node.next = nxt
-        anchor.next = new_h
-        self._space.touch(anchor_h, self._block, True)
-        if nxt:
-            self._nodes[nxt].prev = new_h
-            self._space.touch(nxt, self._block, True)
-        else:
-            self._prio_tail = new_h
-        self._space.touch(new_h, self._block, True)
-
-    def _splice_head(self, new_h: Handle) -> None:
-        node = self._nodes[new_h]
-        head = self._prio_head
-        node.prev = 0
-        node.next = head
-        if head:
-            self._nodes[head].prev = new_h
-            self._space.touch(head, self._block, True)
-        else:
-            self._prio_tail = new_h
-        self._prio_head = new_h
-        self._space.touch(new_h, self._block, True)
+    def _place_sibling(self, split_h: Handle, held) -> Handle:
+        """Block for the new sibling created by splitting ``split_h``."""
+        parent = self._nodes[split_h].parent
+        if self._halloc is not None:
+            return self._halloc.allocate(1, self._layout, parent or None)
+        anchor = split_h
+        if self._variant in _PARENT_ANCHOR_VARIANTS:
+            anchor = parent or split_h
+        return self._place_near(anchor, split_h, self._layout, held)
 
     # -- relocation ------------------------------------------------------
 
@@ -450,126 +324,75 @@ class BTree:
         """Move a node to the swappable plain sub-allocator, rewriting every
         reference to it; its priority-list position is unchanged."""
         self._need_collective()
-        return self._relocate(h, self._alloc_plain, self._dealloc)
+        return self._relocate(h, self._alloc_plain)
 
     def relocate_to_page(self, h: Handle, page_ref) -> Handle:
         self._need_collective()
         return self._relocate(
-            h, lambda: self._alloc.sub_allocate(page_ref, 1, self._layout), self._dealloc)
+            h, lambda layout: self._alloc.sub_allocate(page_ref, 1, layout))
 
     def _need_collective(self) -> None:
         if self._alloc is None:
             raise UsageError("this variant has no collective allocator")
 
-    def _dealloc(self, h: Handle) -> None:
-        self._alloc.deallocate(h, 1, self._layout)
-
-    def _hint_dealloc(self, h: Handle) -> None:
-        self._halloc.deallocate(h, 1, self._layout)
-
-    def _relocate(self, h: Handle, alloc_fn, free_fn) -> Handle:
-        node = self._nodes[h]
-        new_h = alloc_fn()
-        self._space.touch(h, self._block, False)
-        self._nodes[new_h] = node
-        del self._nodes[h]
-        self._space.touch(new_h, self._block, True)
+    def _repoint(self, h: Handle, new_h: Handle, node: _Node, referrers) -> None:
+        """Patch the parent's child slot, the children's parent links and the
+        root; the parent link finds the only referrer, so ``referrers`` is
+        unused."""
+        block = self._block
         p = node.parent
         if p:
             siblings = self._nodes[p].children
             try:
                 siblings[siblings.index(h)] = new_h
-                self._space.touch(p, self._block, True)
+                self._space.touch(p, block, True)
             except ValueError:
                 pass   # a freshly split node not yet wired into its parent
         for c in node.children:
             self._nodes[c].parent = new_h
-            self._space.touch(c, self._block, True)
-        if node.prev:
-            self._nodes[node.prev].next = new_h
-            self._space.touch(node.prev, self._block, True)
-        elif self._prio_head == h:
-            self._prio_head = new_h
-        if node.next:
-            self._nodes[node.next].prev = new_h
-            self._space.touch(node.next, self._block, True)
-        elif self._prio_tail == h:
-            self._prio_tail = new_h
+            self._space.touch(c, block, True)
         if self._root == h:
             self._root = new_h
-        if self._least_priority == h:
-            # both destinations are swappable, so the marker falls back to
-            # the previous (still purely-local) node
-            self._least_priority = (new_h if self._space.is_purely_local(new_h)
-                                    else node.prev)
-        free_fn(h)
-        return new_h
 
     # -- batch rearrangement ---------------------------------------------
 
     def make_page_aware(self):
-        """Run the variant's batch rearrangement; returns the per-page
-        sub-allocators it created (empty for the hint variant)."""
-        v = self._variant
-        if v in (BTreeVariant.DFS, BTreeVariant.LOCAL_DFS):
-            return self._rearrange_dfs()
-        if v in (BTreeVariant.VEB, BTreeVariant.LOCAL_VEB):
-            return self._rearrange_veb()
-        if v is BTreeVariant.HINT:
-            return self._rearrange_hint()
-        raise UsageError(f"variant {v.value} has no batch rearrangement")
-
-    def _fresh_page(self, created):
-        ref = self._alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
-        created.append(ref)
-        return ref
-
-    def _rearrange_dfs(self):
-        created = []
-        holder = [self._fresh_page(created)]
+        """Run the variant's batch rearrangement: post-order DFS, or vEB
+        half-height clusters, into per-page sub-allocators; the hint variant
+        walks post-order DFS chaining each node to the previous one's page.
+        Returns the per-page sub-allocators created (empty for hint)."""
+        dest = self._destinations()
         if self._root:
-            self._dfs_visit(self._root, holder, created)
-        return created
+            if self._variant in (BTreeVariant.VEB, BTreeVariant.LOCAL_VEB):
+                self._veb_visit(self._root, self._height, dest.place)
+            else:
+                self._dfs_visit(self._root, dest.place)
+        return dest.created
 
-    def _dfs_visit(self, h, holder, created):
+    def _dfs_visit(self, h, place):
         node = self._nodes[h]
         self._space.touch(h, self._block, False)
         if not node.leaf:
             children = node.children
             for i in range(len(children)):
-                self._dfs_visit(children[i], holder, created)
+                self._dfs_visit(children[i], place)
         if self._space.is_purely_local(h):
             return h
-        page = holder[0]
-        if not self._alloc.is_occupancy_under(page, OCCUPANCY_LIMIT):
-            page = self._fresh_page(created)
-            holder[0] = page
-        return self.relocate_to_page(h, page)
+        return self._relocate(h, place)
 
-    def _rearrange_veb(self):
-        created = []
-        holder = [self._fresh_page(created)]
-        if self._root:
-            self._veb_visit(self._root, self._height, holder, created)
-        return created
-
-    def _veb_visit(self, h, height, holder, created):
+    def _veb_visit(self, h, height, place):
         if height == 0:
             return h
         if height == 1:
             self._space.touch(h, self._block, False)
             if self._space.is_purely_local(h):
                 return h
-            page = holder[0]
-            if not self._alloc.is_occupancy_under(page, OCCUPANCY_LIMIT):
-                page = self._fresh_page(created)
-                holder[0] = page
-            return self.relocate_to_page(h, page)
+            return self._relocate(h, place)
         lower = height // 2
         upper = height - lower
-        h = self._veb_visit(h, upper, holder, created)
+        h = self._veb_visit(h, upper, place)
         for d in self._descendants_below(h, upper):
-            self._veb_visit(d, lower, holder, created)
+            self._veb_visit(d, lower, place)
         return h
 
     def _descendants_below(self, h, generations):
@@ -583,26 +406,6 @@ class BTree:
                     nxt.extend(node.children)
             level = nxt
         return level
-
-    def _rearrange_hint(self):
-        if self._halloc is None:
-            raise UsageError("hint rearrangement needs the hint allocator")
-        if self._root:
-            self._hint_visit(self._root, [0])
-        return []
-
-    def _hint_visit(self, h, prev_holder):
-        node = self._nodes[h]
-        self._space.touch(h, self._block, False)
-        if not node.leaf:
-            children = node.children
-            for i in range(len(children)):
-                self._hint_visit(children[i], prev_holder)
-        hint = prev_holder[0] or None
-        new_h = self._relocate(
-            h, lambda: self._halloc.allocate(1, self._layout, hint), self._hint_dealloc)
-        prev_holder[0] = new_h
-        return new_h
 
     # -- offline inspection (no touch accounting) ------------------------
 
@@ -629,15 +432,12 @@ class BTree:
             for c in node.children:
                 yield h, c
 
-    def node_handles(self) -> list[Handle]:
-        return list(self._nodes.keys())
-
     def validate(self) -> None:
         """Assert every structural and placement invariant; test support."""
         nodes = self._nodes
+        seen = self._check_priority_list()
         if not self._root:
-            assert not nodes and self._prio_head == 0 and self._prio_tail == 0
-            assert self._least_priority == 0 and self._size == 0
+            assert not nodes and self._size == 0
             return
         depths: dict[Handle, int] = {}
         leaf_depths: set[int] = set()
@@ -671,23 +471,5 @@ class BTree:
         assert len(depths) == len(nodes), "unreachable or duplicated nodes"
         assert self._height == next(iter(leaf_depths)) + 1
         assert self._size == total_pairs
-        seen = []
-        h = self._prio_head
-        prev = 0
-        while h:
-            node = nodes[h]
-            assert node.prev == prev
-            seen.append(h)
-            prev = h
-            h = node.next
-        assert len(seen) == len(nodes) and set(seen) == set(nodes), \
-            "priority list must contain every node exactly once"
-        assert self._prio_tail == seen[-1]
         ds = [depths[x] for x in seen]
         assert ds == sorted(ds), "priority list must be ordered by depth"
-        flags = [self._space.is_purely_local(x) for x in seen]
-        k = sum(flags)
-        assert all(flags[:k]), "purely-local nodes must form a prefix"
-        assert self._least_priority == (seen[k - 1] if k else 0)
-        if not self._uses_local:
-            assert k == 0, "this variant must not hold purely-local nodes"

@@ -21,17 +21,18 @@ faults and never appears in link statistics.
 
 Node blocks are sized by level (one size class per level), which keeps page
 occupancy arithmetic exact.  Unlike the B-tree's uniform blocks, one evicted
-block may be too small for the incoming one, so the eviction step loops until
-the purely-local region fits the new block or the prefix is exhausted.
+block may be too small for the incoming one, so the shared eviction step
+(``placement.py``) loops until the purely-local region fits the new block or
+the prefix is exhausted.
 """
 from __future__ import annotations
 
 import random
 from enum import Enum
 
-from ..collective import CollectiveAllocator, HintAllocator, Kind, ObjectLayout
-from ..farmem import CapacityExhausted, ConfigError, Handle, UsageError
-from .btree import OCCUPANCY_LIMIT
+from ..collective import ObjectLayout
+from ..farmem import ConfigError, Handle, UsageError
+from .placement import PlacedContainer
 
 
 class SkipListVariant(Enum):
@@ -42,23 +43,26 @@ class SkipListVariant(Enum):
     LOCAL_PAGE = "local+page"
 
 
-_LOCAL_VARIANTS = frozenset({SkipListVariant.LOCAL, SkipListVariant.LOCAL_PAGE})
-
-
 class _SkipNode:
-    __slots__ = ("key", "val", "level", "forwards", "prev", "next")
+    __slots__ = ("key", "val", "level", "forwards", "prev", "next", "size")
 
-    def __init__(self, key, val, level, forwards, prev, nxt):
+    def __init__(self, key, val, level, size):
         self.key = key
         self.val = val
         self.level = level
-        self.forwards = forwards
-        self.prev = prev
-        self.next = nxt
+        self.forwards = [0] * level
+        self.prev = 0
+        self.next = 0
+        self.size = size
 
 
-class SkipList:
+class SkipList(PlacedContainer):
     """Geometric-level skip list; duplicate-key inserts are no-ops."""
+
+    _HINT = SkipListVariant.HINT
+    _LOCAL_VARIANTS = frozenset({SkipListVariant.LOCAL, SkipListVariant.LOCAL_PAGE})
+    _REARRANGING = frozenset(
+        {SkipListVariant.HINT, SkipListVariant.PAGE, SkipListVariant.LOCAL_PAGE})
 
     def __init__(self, allocator, variant: SkipListVariant, *,
                  max_level: int = 20, p: float = 0.5,
@@ -67,58 +71,23 @@ class SkipList:
             raise ConfigError(f"max_level must be >= 1, got {max_level}")
         if not 0.0 < p < 1.0:
             raise ConfigError(f"level probability must be in (0, 1), got {p}")
-        if value_slot < 1:
-            raise ConfigError(f"value slot must be positive, got {value_slot}")
-        self._variant = variant
-        if variant is SkipListVariant.HINT:
-            if not isinstance(allocator, HintAllocator):
-                raise ConfigError("hint variant needs a HintAllocator")
-            self._halloc = allocator
-            self._alloc = None
-        else:
-            if not isinstance(allocator, CollectiveAllocator):
-                raise ConfigError(f"{variant.value} variant needs a CollectiveAllocator")
-            self._alloc = allocator
-            self._halloc = None
-        self._space = allocator.space
+        super().__init__(allocator, variant, value_slot)
         self._max_level = max_level
         self._p = p
-        self._value_slot = value_slot
         # key + value slot + level word + priority prev/next, then one word
         # per forward pointer
         self._base = 8 + value_slot + 8 + 16
-        self._layouts = [None] + [
-            ObjectLayout(self._base + 8 * lvl, 8) for lvl in range(1, max_level + 1)]
+        for lvl in range(1, max_level + 1):
+            size = self._base + 8 * lvl
+            self._layouts[size] = ObjectLayout(size, 8)
         self._rng = random.Random(level_seed)
-        self._uses_local = variant in _LOCAL_VARIANTS
-        self._nodes: dict[Handle, _SkipNode] = {}
         self._head: list[Handle] = [0] * max_level
         self._levels = 0
-        self._size = 0
-        self._prio_head: Handle = 0
-        self._prio_tail: Handle = 0
-        self._least_priority: Handle = 0
         # _tails[lvl] = last priority-list node of level >= lvl, the splice
         # point for a new node of that level
         self._tails: list[Handle] = [0] * (max_level + 1)
 
     # -- basic properties ------------------------------------------------
-
-    @property
-    def space(self):
-        return self._space
-
-    @property
-    def variant(self) -> SkipListVariant:
-        return self._variant
-
-    @property
-    def has_rearrangement(self) -> bool:
-        return self._variant not in (SkipListVariant.PLAIN, SkipListVariant.LOCAL)
-
-    @property
-    def node_count(self) -> int:
-        return len(self._nodes)
 
     def block_bytes(self, level: int) -> int:
         return self._base + 8 * level
@@ -126,14 +95,6 @@ class SkipList:
     @property
     def max_block_bytes(self) -> int:
         return self._base + 8 * self._max_level
-
-    def __len__(self) -> int:
-        return self._size
-
-    def _check_value(self, value: bytes) -> None:
-        if len(value) > self._value_slot:
-            raise UsageError(
-                f"value of {len(value)} bytes exceeds the {self._value_slot}-byte slot")
 
     def _draw_level(self) -> int:
         lvl = 1
@@ -167,10 +128,6 @@ class SkipList:
             update[lvl] = cur
         cand = self._head[0] if not cur else nodes[cur].forwards[0]
         return update, cand
-
-    def _find_predecessors(self, key: int) -> list[Handle]:
-        update, _ = self._find_slot(key)
-        return update
 
     # -- queries ---------------------------------------------------------
 
@@ -218,8 +175,9 @@ class SkipList:
         if cand and self._nodes[cand].key == key:
             return False
         level = self._draw_level()
-        h = self._place(level, update)
-        node = _SkipNode(key, value, level, [0] * level, 0, 0)
+        size = self._base + 8 * level
+        h = self._place(self._layouts[size], level, update)
+        node = _SkipNode(key, value, level, size)
         self._nodes[h] = node
         touch = self._space.touch
         base = self._base
@@ -239,8 +197,6 @@ class SkipList:
         for lvl in range(1, level + 1):
             if self._tails[lvl] == anchor:
                 self._tails[lvl] = h
-        if self._least_priority == anchor and self._space.is_purely_local(h):
-            self._least_priority = h
         if level > self._levels:
             self._levels = level
         self._size += 1
@@ -248,207 +204,59 @@ class SkipList:
 
     # -- node placement --------------------------------------------------
 
-    def _alloc_plain(self, level: int) -> Handle:
-        return self._alloc.sub_allocate(
-            self._alloc.swappable_plain, 1, self._layouts[level])
-
-    def _place(self, level: int, update: list[Handle]) -> Handle:
-        variant = self._variant
-        if variant is SkipListVariant.PLAIN:
-            return self._alloc_plain(level)
-        if variant is SkipListVariant.HINT:
-            return self._halloc.allocate(1, self._layouts[level], update[0] or None)
-        alloc = self._alloc
-        layout = self._layouts[level]
+    def _place(self, layout, level: int, update: list[Handle]) -> Handle:
+        """Block for a new node of ``level`` whose per-level predecessors are
+        ``update``; it will follow ``_tails[level]`` on the priority list."""
+        if self._halloc is not None:
+            return self._halloc.allocate(1, layout, update[0] or None)
         anchor = self._tails[level]
         if anchor:
-            try:
-                ref = alloc.get_suballocator_by_handle(anchor)
-                return alloc.sub_allocate(ref, 1, layout)
-            except CapacityExhausted:
-                pass
-            probed_purely_local = alloc.if_suballocator_contains(
-                alloc.purely_local, anchor)
-        elif self._uses_local:
-            # the new node outranks every existing one; it belongs with the
-            # highest-priority nodes
-            try:
-                return alloc.sub_allocate(alloc.purely_local, 1, layout)
-            except CapacityExhausted:
-                pass
-            probed_purely_local = True
-        else:
-            return self._alloc_plain(level)
-        if (self._uses_local and probed_purely_local
-                and self._least_priority != anchor):
-            while True:
-                lp = self._least_priority
-                prev = self._nodes[lp].prev
-                new_lp = self._evict_to_plain(lp)
-                for i, u in enumerate(update):
-                    if u == lp:
-                        update[i] = new_lp
-                self._least_priority = prev
-                try:
-                    return alloc.sub_allocate(alloc.purely_local, 1, layout)
-                except CapacityExhausted:
-                    if prev == anchor:
-                        return self._alloc_plain(level)
-        return self._alloc_plain(level)
-
-    def _evict_to_plain(self, h: Handle) -> Handle:
-        node = self._nodes[h]
-        preds = self._find_predecessors(node.key)
-        layout = self._layouts[node.level]
-        return self._relocate(
-            h,
-            lambda: self._alloc.sub_allocate(self._alloc.swappable_plain, 1, layout),
-            lambda old: self._alloc.deallocate(old, 1, layout),
-            preds)
-
-    # -- priority list ---------------------------------------------------
-
-    def _splice_after(self, anchor: Handle, h: Handle) -> None:
-        node = self._nodes[h]
-        touch = self._space.touch
-        base = self._base
-        if anchor:
-            a = self._nodes[anchor]
-            nxt = a.next
-            node.prev = anchor
-            node.next = nxt
-            a.next = h
-            touch(anchor, base + 8 * a.level, True)
-            if nxt:
-                n = self._nodes[nxt]
-                n.prev = h
-                touch(nxt, base + 8 * n.level, True)
-            else:
-                self._prio_tail = h
-        else:
-            head = self._prio_head
-            node.prev = 0
-            node.next = head
-            if head:
-                n = self._nodes[head]
-                n.prev = h
-                touch(head, base + 8 * n.level, True)
-            else:
-                self._prio_tail = h
-            self._prio_head = h
-        touch(h, base + 8 * node.level, True)
+            return self._place_near(anchor, anchor, layout, update)
+        # the new node outranks every existing one
+        return self._place_first(layout, update)
 
     # -- relocation ------------------------------------------------------
 
-    def _relocate(self, h: Handle, alloc_fn, free_fn,
-                  preds: list[Handle]) -> Handle:
-        """Move one node, patching its level-wise predecessors (``preds[i]``
-        owns the forward pointer in slot ``i``; 0 means the head tower),
-        priority neighbours, and list bookkeeping."""
-        node = self._nodes[h]
-        new_h = alloc_fn()
+    def _referrers(self, h: Handle) -> list[Handle]:
+        return self._find_slot(self._nodes[h].key)[0]
+
+    def _repoint(self, h: Handle, new_h: Handle, node: _SkipNode,
+                 preds: list[Handle]) -> None:
+        """Patch the level-wise predecessors (``preds[i]`` owns the forward
+        pointer in slot ``i``; 0 means the head tower) and the tails."""
         touch = self._space.touch
-        base = self._base
-        touch(h, base + 8 * node.level, False)
-        self._nodes[new_h] = node
-        del self._nodes[h]
-        touch(new_h, base + 8 * node.level, True)
         for i in range(node.level):
             pred = preds[i]
             if pred:
                 pn = self._nodes[pred]
                 pn.forwards[i] = new_h
-                touch(pred, base + 8 * pn.level, True)
+                touch(pred, pn.size, True)
             else:
                 self._head[i] = new_h
-        if node.prev:
-            pn = self._nodes[node.prev]
-            pn.next = new_h
-            touch(node.prev, base + 8 * pn.level, True)
-        elif self._prio_head == h:
-            self._prio_head = new_h
-        if node.next:
-            nn = self._nodes[node.next]
-            nn.prev = new_h
-            touch(node.next, base + 8 * nn.level, True)
-        elif self._prio_tail == h:
-            self._prio_tail = new_h
         for lvl in range(1, self._levels + 1):
             if self._tails[lvl] == h:
                 self._tails[lvl] = new_h
-        if self._least_priority == h:
-            self._least_priority = new_h
-        free_fn(h)
-        return new_h
 
     # -- batch rearrangement ---------------------------------------------
 
     def make_page_aware(self):
-        """Key-order sweep per the variant's policy; returns created
-        per-page sub-allocators (empty for the hint variant)."""
-        v = self._variant
-        if v in (SkipListVariant.PAGE, SkipListVariant.LOCAL_PAGE):
-            return self._sweep_to_pages()
-        if v is SkipListVariant.HINT:
-            return self._sweep_with_hints()
-        raise UsageError(f"variant {v.value} has no batch rearrangement")
-
-    def _fresh_page(self, created):
-        ref = self._alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
-        created.append(ref)
-        return ref
-
-    def _sweep_to_pages(self):
-        created = []
-        page = self._fresh_page(created)
+        """Key-order sweep into per-page sub-allocators, or for the hint
+        variant onto the previous node's page; returns the per-page
+        sub-allocators created (empty for hint)."""
+        dest = self._destinations()
         last_seen = [0] * self._max_level
         touch = self._space.touch
-        base = self._base
         h = self._head[0]
         while h:
             node = self._nodes[h]
-            touch(h, base + 8 * node.level, False)
+            touch(h, node.size, False)
             nxt = node.forwards[0]
-            new_h = h
             if not self._space.is_purely_local(h):
-                if not self._alloc.is_occupancy_under(page, OCCUPANCY_LIMIT):
-                    page = self._fresh_page(created)
-                layout = self._layouts[node.level]
-                dest = page
-                new_h = self._relocate(
-                    h,
-                    lambda: self._alloc.sub_allocate(dest, 1, layout),
-                    lambda old: self._alloc.deallocate(old, 1, layout),
-                    last_seen)
+                h = self._relocate(h, dest.place, last_seen)
             for i in range(node.level):
-                last_seen[i] = new_h
+                last_seen[i] = h
             h = nxt
-        return created
-
-    def _sweep_with_hints(self):
-        if self._halloc is None:
-            raise UsageError("hint rearrangement needs the hint allocator")
-        last_seen = [0] * self._max_level
-        previous = 0
-        touch = self._space.touch
-        base = self._base
-        h = self._head[0]
-        while h:
-            node = self._nodes[h]
-            touch(h, base + 8 * node.level, False)
-            nxt = node.forwards[0]
-            layout = self._layouts[node.level]
-            hint = previous or None
-            new_h = self._relocate(
-                h,
-                lambda: self._halloc.allocate(1, layout, hint),
-                lambda old: self._halloc.deallocate(old, 1, layout),
-                last_seen)
-            for i in range(node.level):
-                last_seen[i] = new_h
-            previous = new_h
-            h = nxt
-        return []
+        return dest.created
 
     # -- offline inspection (no touch accounting) ------------------------
 
@@ -468,9 +276,6 @@ class SkipList:
             for t in node.forwards:
                 if t:
                     yield h, t
-
-    def node_handles(self) -> list[Handle]:
-        return list(self._nodes.keys())
 
     def validate(self) -> None:
         """Assert every structural and placement invariant; test support."""
@@ -497,27 +302,10 @@ class SkipList:
             assert max(nodes[x].level for x in seq) == self._levels
         else:
             assert self._levels == 0
-        plist = []
-        prev = 0
-        h = self._prio_head
-        while h:
-            n = nodes[h]
-            assert n.prev == prev
-            plist.append(h)
-            prev = h
-            h = n.next
-        assert self._prio_tail == (plist[-1] if plist else 0)
-        assert len(plist) == len(nodes) and set(plist) == set(seq), \
-            "priority list must contain every node exactly once"
+        plist = self._check_priority_list()
         levels = [nodes[x].level for x in plist]
         assert levels == sorted(levels, reverse=True), \
             "priority list must be ordered by non-increasing level"
         for lvl in range(1, self._max_level + 1):
             tall = [x for x in plist if nodes[x].level >= lvl]
             assert self._tails[lvl] == (tall[-1] if tall else 0)
-        flags = [self._space.is_purely_local(x) for x in plist]
-        k = sum(flags)
-        assert all(flags[:k]), "purely-local nodes must form a prefix"
-        assert self._least_priority == (plist[k - 1] if k else 0)
-        if not self._uses_local:
-            assert k == 0, "this variant must not hold purely-local nodes"

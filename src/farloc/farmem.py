@@ -254,12 +254,11 @@ class _ArrayFreeList:
 
 
 class _Page:
-    __slots__ = ("free", "allocated", "buf")
+    __slots__ = ("free", "allocated")
 
     def __init__(self, base: int, size: int):
         self.free = FreeList(base, size)
         self.allocated = 0
-        self.buf: bytearray | None = None   # zero-filled, materialized lazily
 
 
 class Space:
@@ -274,7 +273,6 @@ class Space:
         self._blocks: dict[int, int] = {}            # handle -> block size
         self._local_free = _ArrayFreeList(LOCAL_BASE, cfg.purely_local_capacity_bytes)
         self._local_allocated = 0
-        self._local_buf = bytearray(cfg.purely_local_capacity_bytes)
         self._pages: list[_Page] = []
         self._resident: OrderedDict[int, bool] = OrderedDict()   # page -> dirty
         self._swap_ins = 0
@@ -376,36 +374,6 @@ class Space:
                 if dirty:
                     self._write_backs += 1
             res[idx] = is_write
-
-    def read_bytes(self, handle: Handle, offset: int, length: int) -> bytes:
-        self._check_range(handle, offset, length)
-        self.touch(handle, offset + length, False)
-        buf, off = self._backing(handle)
-        if buf is None:
-            return bytes(length)
-        return bytes(buf[off + offset:off + offset + length])
-
-    def write_bytes(self, handle: Handle, offset: int, data: bytes) -> None:
-        self._check_range(handle, offset, len(data))
-        self.touch(handle, offset + len(data), True)
-        buf, off = self._backing(handle, materialize=True)
-        buf[off + offset:off + offset + len(data)] = data
-
-    def _check_range(self, handle: Handle, offset: int, length: int) -> None:
-        size = self._blocks.get(handle)
-        if size is None:
-            raise UsageError(f"access through unknown handle {handle:#x}")
-        if offset < 0 or length < 0 or offset + length > size:
-            raise UsageError("byte range outside the block")
-
-    def _backing(self, handle: Handle, materialize: bool = False):
-        if handle < SWAP_BASE:
-            return self._local_buf, handle - LOCAL_BASE
-        idx = (handle - SWAP_BASE) >> self._page_shift
-        rec = self._pages[idx]
-        if rec.buf is None and materialize:
-            rec.buf = bytearray(self._page_size)
-        return rec.buf, (handle - SWAP_BASE) & (self._page_size - 1)
 
     def evict_all(self) -> None:
         res = self._resident

@@ -61,16 +61,6 @@ def link_composition(container) -> LinkComposition:
 
 def parent_page_mismatch_fraction(tree) -> float:
     """Fraction of non-root B-tree nodes on a different page from their
-    parent; both ends purely-local counts as a match."""
-    space = tree.space
-    total = mismatch = 0
-    for parent, child in tree.structural_links():
-        pp = space.page_of(parent)
-        cp = space.page_of(child)
-        total += 1
-        same = (pp is None and cp is None) or (pp is not None and pp == cp)
-        if not same:
-            mismatch += 1
-    if total == 0:
-        raise UsageError("mismatch fraction needs at least two nodes")
-    return mismatch / total
+    parent; both ends purely-local counts as a match, so a mismatch is
+    exactly a cross-page link."""
+    return link_composition(tree).cross_page_ratio

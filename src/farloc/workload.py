@@ -18,6 +18,7 @@ lengths, keeping variants and update mixes comparable cell by cell.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -25,26 +26,16 @@ import numpy as np
 
 from .collective import CollectiveAllocator, HintAllocator
 from .containers import BTree, BTreeVariant, SkipList, SkipListVariant
-from .farmem import ConfigError, Space, SpaceConfig, SwapStats, UsageError
+from .farmem import ConfigError, Space, SpaceConfig, SwapStats
 from .metrics import LinkComposition, link_composition
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
-
-
-def fnv64(x: int) -> int:
-    """FNV-1a of the eight little-endian bytes of a 64-bit unsigned value."""
-    if not 0 <= x <= _MASK64:
-        raise UsageError(f"fnv64 input out of 64-bit range: {x}")
-    h = FNV64_OFFSET
-    for b in x.to_bytes(8, "little"):
-        h = ((h ^ b) * FNV64_PRIME) & _MASK64
-    return h
 
 
 def fnv64_batch(values) -> np.ndarray:
-    """Vectorized fnv64 over an array of unsigned integers."""
+    """FNV-1a of the eight little-endian bytes of each 64-bit unsigned
+    value in an array."""
     xs = np.asarray(values, dtype=np.uint64)
     h = np.full(xs.shape, FNV64_OFFSET, dtype=np.uint64)
     prime = np.uint64(FNV64_PRIME)
@@ -72,11 +63,6 @@ class ZipfSampler:
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         u = rng.random(size)
         return np.searchsorted(self._cdf, u, side="right") + 1
-
-
-def zipf_sample(rng: np.random.Generator, n: int, alpha: float) -> int:
-    """One rank in [1, n]; convenience wrapper over ZipfSampler."""
-    return int(ZipfSampler(n, alpha).sample(rng))
 
 
 # name -> (container family, variant, uses purely-local region)
@@ -131,8 +117,12 @@ class BenchConfig:
             raise ConfigError(
                 f"{self.total_data_bytes} data bytes hold no "
                 f"{self.pair_size_bytes}-byte pair")
-        if self.l_percent <= 0:
-            raise ConfigError(f"local budget must be > 0 %, got {self.l_percent}")
+        if not (math.isfinite(self.l_percent) and self.l_percent > 0):
+            raise ConfigError(
+                f"local budget must be a finite value > 0 %, got {self.l_percent}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"skew must be a finite value >= 0, got {self.alpha}")
+        # the range test rejects nan as well
         if not 0.0 <= self.update_ratio <= 1.0:
             raise ConfigError(f"update ratio must be in [0, 1], got {self.update_ratio}")
         if self.num_queries < 0:
@@ -174,7 +164,7 @@ def local_budget(cfg: BenchConfig) -> tuple[int, int]:
 
 
 def placement_keys(cfg: BenchConfig) -> np.ndarray:
-    """fnv64 of N-1, N-2, ..., 0; dependent keys arrive shallow-first."""
+    """FNV-1a of N-1, N-2, ..., 0; dependent keys arrive shallow-first."""
     n = cfg.num_pairs
     return fnv64_batch(np.arange(n - 1, -1, -1, dtype=np.uint64))
 

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from farloc import cli
 from farloc.cli import (LINKS_HEADER, SWAPS_HEADER, SweepSpec, main,
                         parse_args, run_sweep)
 from farloc.workload import BenchConfig
@@ -144,11 +145,28 @@ def test_reruns_are_byte_identical(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
-def test_config_errors_exit_1(tmp_path, capsys):
-    rc = main(TINY + ["--value-size", "0", "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
+def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
+    def no_build(cfg):
+        raise AssertionError("a cell was built before the sweep was validated")
+
+    monkeypatch.setattr(cli, "run_benchmark", no_build)
+    for bad, threads in [
+            (["--value-size", "0"], "1"),
+            (["--l-percent", "nan"], "1"),
+            (["--l-percent", "inf"], "1"),
+            (["--alpha", "nan"], "1"),
+            (["--alpha", "inf"], "1"),
+            (["--update-ratio", "nan"], "1"),
+            (["--update-ratio", "inf"], "1"),
+            # only the last cell is bad: it must still fail before any build
+            (["--alpha", "0.8", "--alpha", "-1"], "1"),
+            ([], "abc"),
+            ([], "1.5")]:
+        monkeypatch.setenv("FARLOC_THREADS", threads)
+        rc = main(TINY + bad + ["--out", str(tmp_path / "x.csv")])
+        assert rc == 1, bad
+        assert capsys.readouterr().err.startswith("error:"), bad
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_thread_fanout_matches_serial(tmp_path, monkeypatch):
@@ -158,3 +176,40 @@ def test_thread_fanout_matches_serial(tmp_path, monkeypatch):
     assert main(args + ["--out", str(tmp_path / "pool.csv")]) == 0
     assert (tmp_path / "serial.csv").read_bytes() == \
         (tmp_path / "pool.csv").read_bytes()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cells):
+        return map(fn, cells)
+
+
+@pytest.mark.parametrize("threads, n_cells, cpus, pool", [
+    (64, 3, 4, 3),          # never more workers than cells
+    (64, 10, 4, 4),         # ... or CPUs
+    (2, 10, 4, 2),
+    (1, 10, 4, None),       # one worker runs in process
+    (8, 1, 4, None),
+    (8, 10, None, None),    # unknown CPU count: one
+])
+def test_process_pool_is_bounded(monkeypatch, threads, n_cells, cpus, pool):
+    RecordingPool.sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "run_benchmark", lambda cfg: cfg)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    spec, _, _ = parse_args(
+        [x for i in range(n_cells) for x in ("--l-percent", str(i + 1))])
+    monkeypatch.setenv("FARLOC_THREADS", str(threads))
+    assert run_sweep(spec) == spec.cells()
+    assert RecordingPool.sizes == ([] if pool is None else [pool])

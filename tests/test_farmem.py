@@ -238,8 +238,7 @@ def test_purely_local_touches_are_exempt(make_space):
     h = space.carve_purely_local(256)
     for _ in range(10_000):
         space.touch(h, 256, is_write=True)
-    space.write_bytes(h, 0, b"x" * 256)
-    space.read_bytes(h, 0, 256)
+        space.touch(h, 256)
     assert space.stats() == SwapStats()
     assert space.residency() == ((), frozenset())
 
@@ -316,40 +315,6 @@ def test_replay_lru_matches_naive_model():
             fast.touch_page(page, w)
         assert (fast.swap_ins, fast.write_backs) == (naive.swap_ins,
                                                      naive.write_backs)
-
-
-# -- byte access ---------------------------------------------------------
-
-def test_write_read_round_trip(make_space):
-    space = make_space(local_capacity=4096, cache_pages=2)
-    page = space.create_page()
-    for h in (space.carve_purely_local(64), space.carve_in_page(page, 64)):
-        assert space.read_bytes(h, 0, 64) == bytes(64)      # zero-filled
-        space.write_bytes(h, 5, b"hello")
-        assert space.read_bytes(h, 5, 5) == b"hello"
-        assert space.read_bytes(h, 0, 5) == bytes(5)
-
-
-def test_byte_access_goes_through_swap_accounting(make_space):
-    space = make_space(cache_pages=1)
-    page = space.create_page()
-    h = space.carve_in_page(page, 64)
-    space.read_bytes(h, 0, 8)
-    assert space.stats().swap_ins == 1
-    space.write_bytes(h, 0, b"x")
-    space.evict_all()
-    assert space.stats().write_backs == 1
-
-
-def test_byte_access_range_errors(make_space):
-    space = make_space(local_capacity=128)
-    h = space.carve_purely_local(16)
-    with pytest.raises(UsageError):
-        space.read_bytes(h, 10, 7)
-    with pytest.raises(UsageError):
-        space.write_bytes(h, -1, b"a")
-    with pytest.raises(UsageError):
-        space.read_bytes(777, 0, 1)
 
 
 # -- page-touch tracing --------------------------------------------------
