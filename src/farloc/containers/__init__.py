@@ -1,7 +1,7 @@
 """Placement-aware ordered containers over the collective allocator."""
-from .btree import BTree, BTreeVariant
+from .btree import BTree, BTreeVariant, btree_block_bytes
 from .placement import OCCUPANCY_LIMIT
-from .skiplist import SkipList, SkipListVariant
+from .skiplist import SkipList, SkipListVariant, tower_block_bytes
 
 __all__ = [
     "OCCUPANCY_LIMIT",
@@ -9,4 +9,6 @@ __all__ = [
     "BTreeVariant",
     "SkipList",
     "SkipListVariant",
+    "btree_block_bytes",
+    "tower_block_bytes",
 ]

@@ -46,6 +46,15 @@ _PARENT_ANCHOR_VARIANTS = frozenset(
     {BTreeVariant.DFS, BTreeVariant.LOCAL_DFS, BTreeVariant.VEB, BTreeVariant.LOCAL_VEB})
 
 
+DEFAULT_ORDER = 5
+
+
+def btree_block_bytes(value_slot: int, order: int = DEFAULT_ORDER) -> int:
+    """Bytes of one node block: keys, value slots, child pointers, then the
+    parent, priority-list prev/next and key-count words."""
+    return (order - 1) * 8 + (order - 1) * value_slot + order * 8 + 8 * 3 + 8
+
+
 class _Node:
     __slots__ = ("keys", "vals", "children", "parent", "prev", "next", "leaf", "size")
 
@@ -74,15 +83,14 @@ class BTree(PlacedContainer):
     _REARRANGING = frozenset(BTreeVariant) - {BTreeVariant.PLAIN, BTreeVariant.LOCAL}
 
     def __init__(self, allocator, variant: BTreeVariant, *,
-                 order: int = 5, value_slot: int = 152):
+                 order: int = DEFAULT_ORDER, value_slot: int = 152):
         if order < 3:
             raise ConfigError(f"order must be >= 3, got {order}")
         super().__init__(allocator, variant, value_slot)
         self._order = order
         self._max_keys = order - 1
         self._min_keys = (order + 1) // 2 - 1
-        # keys + value slots + child pointers + parent + prev + next + count
-        self._block = (order - 1) * 8 + (order - 1) * value_slot + order * 8 + 8 * 3 + 8
+        self._block = btree_block_bytes(value_slot, order)
         self._layout = ObjectLayout(self._block, 8)
         self._layouts[self._block] = self._layout
         self._root: Handle = 0
@@ -102,12 +110,11 @@ class BTree(PlacedContainer):
 
     def search(self, key: int) -> bytes | None:
         nodes = self._nodes
-        touch = self._space.touch
-        block = self._block
+        touch = self._space.touch_block
         h = self._root
         while h:
             node = nodes[h]
-            touch(h, block, False)
+            touch(h, False)
             keys = node.keys
             i = bisect_right(keys, key)
             if i and keys[i - 1] == key:
@@ -120,17 +127,16 @@ class BTree(PlacedContainer):
     def update(self, key: int, value: bytes) -> bool:
         self._check_value(value)
         nodes = self._nodes
-        touch = self._space.touch
-        block = self._block
+        touch = self._space.touch_block
         h = self._root
         while h:
             node = nodes[h]
-            touch(h, block, False)
+            touch(h, False)
             keys = node.keys
             i = bisect_right(keys, key)
             if i and keys[i - 1] == key:
                 node.vals[i - 1] = value
-                touch(h, block, True)
+                touch(h, True)
                 return True
             if node.leaf:
                 return False
@@ -143,13 +149,13 @@ class BTree(PlacedContainer):
         if length < 1:
             raise UsageError(f"scan length must be >= 1, got {length}")
         nodes = self._nodes
-        touch = self._space.touch
-        block = self._block
+        # the walk only reads, so its touches are accounted in one batch
+        seen = []
         h = self._root
         at = None
         while h:
             node = nodes[h]
-            touch(h, block, False)
+            seen.append(h)
             keys = node.keys
             i = bisect_right(keys, key)
             if i and keys[i - 1] == key:
@@ -165,21 +171,22 @@ class BTree(PlacedContainer):
             h, idx = at
             node = nodes[h]
             out.append((node.keys[idx], node.vals[idx]))
-            at = self._next_entry(h, idx)
+            at = self._next_entry(h, idx, seen)
+        self._space.touch_blocks(seen, False)
         return out
 
-    def _next_entry(self, h: Handle, idx: int):
+    def _next_entry(self, h: Handle, idx: int, seen: list[Handle]):
+        """The in-order successor of entry ``idx`` of node ``h``; appends
+        every node it visits to ``seen``."""
         nodes = self._nodes
-        touch = self._space.touch
-        block = self._block
         node = nodes[h]
         if not node.leaf:
             nh = node.children[idx + 1]
-            touch(nh, block, False)
+            seen.append(nh)
             n = nodes[nh]
             while not n.leaf:
                 nh = n.children[0]
-                touch(nh, block, False)
+                seen.append(nh)
                 n = nodes[nh]
             return (nh, 0)
         if idx + 1 < len(node.keys):
@@ -188,7 +195,7 @@ class BTree(PlacedContainer):
         p = node.parent
         while p:
             pn = nodes[p]
-            touch(p, block, False)
+            seen.append(p)
             pos = pn.children.index(child)
             if pos < len(pn.keys):
                 return (p, pos)
@@ -217,11 +224,11 @@ class BTree(PlacedContainer):
             old_root, baby = held
             self._nodes[new_h] = _Node([sep_k], [sep_v], [old_root, baby], 0, False,
                                        self._block)
-            self._space.touch(new_h, self._block, True)
+            self._space.touch_block(new_h, True)
             self._nodes[old_root].parent = new_h
-            self._space.touch(old_root, self._block, True)
+            self._space.touch_block(old_root, True)
             self._nodes[baby].parent = new_h
-            self._space.touch(baby, self._block, True)
+            self._space.touch_block(baby, True)
             self._splice_after(0, new_h)
             self._root = new_h
             self._height += 1
@@ -231,7 +238,7 @@ class BTree(PlacedContainer):
 
     def _ins_rec(self, h: Handle, key: int, value: bytes):
         node = self._nodes[h]
-        self._space.touch(h, self._block, False)
+        self._space.touch_block(h, False)
         keys = node.keys
         i = bisect_right(keys, key)
         if i and keys[i - 1] == key:
@@ -240,7 +247,7 @@ class BTree(PlacedContainer):
             if len(keys) < self._max_keys:
                 keys.insert(i, key)
                 node.vals.insert(i, value)
-                self._space.touch(h, self._block, True)
+                self._space.touch_block(h, True)
                 return 0, None, None, True
             new_h = self._place_sibling(h, ())
             sep_k, sep_v = self._split_leaf(h, new_h, i, key, value)
@@ -252,7 +259,7 @@ class BTree(PlacedContainer):
             keys.insert(i, sep_k)
             node.vals.insert(i, sep_v)
             node.children.insert(i + 1, baby)
-            self._space.touch(h, self._block, True)
+            self._space.touch_block(h, True)
             return 0, None, None, inserted
         held = [baby]
         new_h = self._place_sibling(h, held)
@@ -270,8 +277,8 @@ class BTree(PlacedContainer):
         del keys[mid:]
         del vals[mid:]
         self._nodes[new_h] = right
-        self._space.touch(h, self._block, True)
-        self._space.touch(new_h, self._block, True)
+        self._space.touch_block(h, True)
+        self._space.touch_block(new_h, True)
         self._splice_after(h, new_h)
         return sep_k, sep_v
 
@@ -291,9 +298,9 @@ class BTree(PlacedContainer):
         self._nodes[new_h] = right
         for c in right.children:
             self._nodes[c].parent = new_h
-            self._space.touch(c, self._block, True)
-        self._space.touch(h, self._block, True)
-        self._space.touch(new_h, self._block, True)
+            self._space.touch_block(c, True)
+        self._space.touch_block(h, True)
+        self._space.touch_block(new_h, True)
         self._splice_after(h, new_h)
         return up_k, up_v
 
@@ -339,18 +346,17 @@ class BTree(PlacedContainer):
         """Patch the parent's child slot, the children's parent links and the
         root; the parent link finds the only referrer, so ``referrers`` is
         unused."""
-        block = self._block
         p = node.parent
         if p:
             siblings = self._nodes[p].children
             try:
                 siblings[siblings.index(h)] = new_h
-                self._space.touch(p, block, True)
+                self._space.touch_block(p, True)
             except ValueError:
                 pass   # a freshly split node not yet wired into its parent
         for c in node.children:
             self._nodes[c].parent = new_h
-            self._space.touch(c, block, True)
+            self._space.touch_block(c, True)
         if self._root == h:
             self._root = new_h
 
@@ -371,7 +377,7 @@ class BTree(PlacedContainer):
 
     def _dfs_visit(self, h, place):
         node = self._nodes[h]
-        self._space.touch(h, self._block, False)
+        self._space.touch_block(h, False)
         if not node.leaf:
             children = node.children
             for i in range(len(children)):
@@ -384,7 +390,7 @@ class BTree(PlacedContainer):
         if height == 0:
             return h
         if height == 1:
-            self._space.touch(h, self._block, False)
+            self._space.touch_block(h, False)
             if self._space.is_purely_local(h):
                 return h
             return self._relocate(h, place)
@@ -398,10 +404,10 @@ class BTree(PlacedContainer):
     def _descendants_below(self, h, generations):
         level = [h]
         for _ in range(generations):
+            self._space.touch_blocks(level, False)
             nxt = []
             for hh in level:
                 node = self._nodes[hh]
-                self._space.touch(hh, self._block, False)
                 if not node.leaf:
                     nxt.extend(node.children)
             level = nxt

@@ -149,13 +149,13 @@ class PlacedContainer:
         (0: at the head).  A purely-local ``h`` right after the prefix's last
         node becomes its new last node."""
         nodes = self._nodes
-        touch = self._space.touch
+        touch = self._space.touch_block
         node = nodes[h]
         if anchor:
             a = nodes[anchor]
             nxt = a.next
             a.next = h
-            touch(anchor, a.size, True)
+            touch(anchor, True)
         else:
             nxt = self._prio_head
             self._prio_head = h
@@ -164,10 +164,10 @@ class PlacedContainer:
         if nxt:
             n = nodes[nxt]
             n.prev = h
-            touch(nxt, n.size, True)
+            touch(nxt, True)
         else:
             self._prio_tail = h
-        touch(h, node.size, True)
+        touch(h, True)
         if self._least_priority == anchor and self._space.is_purely_local(h):
             self._least_priority = h
 
@@ -182,27 +182,27 @@ class PlacedContainer:
         """Move node ``h`` into the block ``place(layout)`` returns and free
         the old block; its priority-list position is unchanged."""
         nodes = self._nodes
-        touch = self._space.touch
+        touch = self._space.touch_block
         node = nodes[h]
         size = node.size
         layout = self._layouts[size]
         new_h = place(layout)
-        touch(h, size, False)
+        touch(h, False)
         nodes[new_h] = node
         del nodes[h]
-        touch(new_h, size, True)
+        touch(new_h, True)
         self._repoint(h, new_h, node, referrers)
         prev, nxt = node.prev, node.next
         if prev:
             p = nodes[prev]
             p.next = new_h
-            touch(prev, p.size, True)
+            touch(prev, True)
         elif self._prio_head == h:
             self._prio_head = new_h
         if nxt:
             n = nodes[nxt]
             n.prev = new_h
-            touch(nxt, n.size, True)
+            touch(nxt, True)
         elif self._prio_tail == h:
             self._prio_tail = new_h
         if self._least_priority == h:

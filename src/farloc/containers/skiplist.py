@@ -43,6 +43,12 @@ class SkipListVariant(Enum):
     LOCAL_PAGE = "local+page"
 
 
+def tower_block_bytes(level: int, value_slot: int) -> int:
+    """Bytes of one node block of ``level``: key, value slot, level word,
+    priority-list prev/next, then one word per forward pointer."""
+    return 8 + value_slot + 8 + 16 + 8 * level
+
+
 class _SkipNode:
     __slots__ = ("key", "val", "level", "forwards", "prev", "next", "size")
 
@@ -74,9 +80,7 @@ class SkipList(PlacedContainer):
         super().__init__(allocator, variant, value_slot)
         self._max_level = max_level
         self._p = p
-        # key + value slot + level word + priority prev/next, then one word
-        # per forward pointer
-        self._base = 8 + value_slot + 8 + 16
+        self._base = tower_block_bytes(0, value_slot)
         for lvl in range(1, max_level + 1):
             size = self._base + 8 * lvl
             self._layouts[size] = ObjectLayout(size, 8)
@@ -104,28 +108,26 @@ class SkipList(PlacedContainer):
 
     # -- search plumbing -------------------------------------------------
 
-    def _touch(self, h: Handle, node: _SkipNode, is_write: bool) -> None:
-        self._space.touch(h, self._base + 8 * node.level, is_write)
-
     def _find_slot(self, key: int):
         """Predecessor handles per level (0 = head tower) and the handle of
         the first node with key >= the target, already touched."""
         nodes = self._nodes
-        touch = self._space.touch
-        base = self._base
         update = [0] * self._max_level
+        # the descent only reads, so its touches are accounted in one batch
+        seen = []
         cur = 0
         for lvl in reversed(range(self._levels)):
             nxt = self._head[lvl] if not cur else nodes[cur].forwards[lvl]
             while nxt:
                 n = nodes[nxt]
-                touch(nxt, base + 8 * n.level, False)
+                seen.append(nxt)
                 if n.key < key:
                     cur = nxt
                     nxt = n.forwards[lvl]
                 else:
                     break
             update[lvl] = cur
+        self._space.touch_blocks(seen, False)
         cand = self._head[0] if not cur else nodes[cur].forwards[0]
         return update, cand
 
@@ -146,7 +148,7 @@ class SkipList(PlacedContainer):
             n = self._nodes[cand]
             if n.key == key:
                 n.val = value
-                self._touch(cand, n, True)
+                self._space.touch_block(cand, True)
                 return True
         return False
 
@@ -157,14 +159,14 @@ class SkipList(PlacedContainer):
             raise UsageError(f"scan length must be >= 1, got {length}")
         _, h = self._find_slot(key)
         out: list[tuple[int, bytes]] = []
+        seen = []
         nodes = self._nodes
-        touch = self._space.touch
-        base = self._base
         while h and len(out) < length:
             n = nodes[h]
-            touch(h, base + 8 * n.level, False)
+            seen.append(h)
             out.append((n.key, n.val))
             h = n.forwards[0]
+        self._space.touch_blocks(seen, False)
         return out
 
     # -- insertion -------------------------------------------------------
@@ -179,19 +181,18 @@ class SkipList(PlacedContainer):
         h = self._place(self._layouts[size], level, update)
         node = _SkipNode(key, value, level, size)
         self._nodes[h] = node
-        touch = self._space.touch
-        base = self._base
+        touch = self._space.touch_block
         for i in range(level):
             pred = update[i]
             if pred:
                 pn = self._nodes[pred]
                 node.forwards[i] = pn.forwards[i]
                 pn.forwards[i] = h
-                touch(pred, base + 8 * pn.level, True)
+                touch(pred, True)
             else:
                 node.forwards[i] = self._head[i]
                 self._head[i] = h
-        touch(h, base + 8 * level, True)
+        touch(h, True)
         anchor = self._tails[level]
         self._splice_after(anchor, h)
         for lvl in range(1, level + 1):
@@ -224,13 +225,13 @@ class SkipList(PlacedContainer):
                  preds: list[Handle]) -> None:
         """Patch the level-wise predecessors (``preds[i]`` owns the forward
         pointer in slot ``i``; 0 means the head tower) and the tails."""
-        touch = self._space.touch
+        touch = self._space.touch_block
         for i in range(node.level):
             pred = preds[i]
             if pred:
                 pn = self._nodes[pred]
                 pn.forwards[i] = new_h
-                touch(pred, pn.size, True)
+                touch(pred, True)
             else:
                 self._head[i] = new_h
         for lvl in range(1, self._levels + 1):
@@ -245,11 +246,11 @@ class SkipList(PlacedContainer):
         sub-allocators created (empty for hint)."""
         dest = self._destinations()
         last_seen = [0] * self._max_level
-        touch = self._space.touch
+        touch = self._space.touch_block
         h = self._head[0]
         while h:
             node = self._nodes[h]
-            touch(h, node.size, False)
+            touch(h, False)
             nxt = node.forwards[0]
             if not self._space.is_purely_local(h):
                 h = self._relocate(h, dest.place, last_seen)

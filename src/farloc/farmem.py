@@ -3,9 +3,11 @@
 The address space has two regions.  A bounded purely-local region is never
 swapped and never counted in swap statistics.  The swappable region is a
 sequence of fixed-size pages backed by a bounded resident cache with strict
-LRU eviction; every access to a swappable byte range is mediated by
-:meth:`Space.touch`, which performs the fault / swap-in / write-back
-accounting a far-memory runtime would do.
+LRU eviction; every access to a swappable block is mediated by the space,
+which performs the fault / swap-in / write-back accounting a far-memory
+runtime would do.  :meth:`Space.touch` is the validated entry for any byte
+range of a block; :meth:`Space.touch_block` and :meth:`Space.touch_blocks`
+are the unchecked whole-block entries the containers use.
 
 Handles are plain integer offsets into the address space (0 is the null
 handle); region membership is derivable from the offset alone.  Blocks are
@@ -70,7 +72,6 @@ class SpaceConfig:
 class SwapStats:
     swap_ins: int = 0
     write_backs: int = 0
-    faults: int = 0
 
 
 class FreeList:
@@ -277,7 +278,6 @@ class Space:
         self._resident: OrderedDict[int, bool] = OrderedDict()   # page -> dirty
         self._swap_ins = 0
         self._write_backs = 0
-        self._faults = 0
         self._trace: list[tuple[int, bool]] | None = None
 
     # -- carving ---------------------------------------------------------
@@ -337,43 +337,74 @@ class Space:
     def touch(self, handle: Handle, length: int, is_write: bool = False) -> None:
         """Account one access to ``length`` bytes starting at ``handle``.
 
-        Purely-local handles are exempt from all statistics.  Swappable
-        touches fault each non-resident page in ascending address order,
-        evicting the LRU page first when the cache is full.
+        Purely-local handles are exempt from all statistics.  A swappable
+        touch faults the block's page in when it is not resident, evicting
+        the LRU page first when the cache is full.  A block never straddles
+        a page, so every non-empty touch is a touch of exactly one page.
         """
         size = self._blocks.get(handle)
         if size is None:
             raise UsageError(f"touch of unknown handle {handle:#x}")
         if length < 0 or length > size:
             raise UsageError(f"touch of {length} bytes outside a {size}-byte block")
-        if handle < SWAP_BASE or length == 0:
+        if length:
+            self.touch_block(handle, is_write)
+
+    def touch_block(self, handle: Handle, is_write: bool) -> None:
+        """Account one access to the whole block at ``handle``, unchecked.
+
+        The caller guarantees that ``handle`` names a live block; that and
+        a block never straddling a page are what let this skip the lookup
+        and the range check of :meth:`touch`.
+        """
+        if handle < SWAP_BASE:
             return
-        first = (handle - SWAP_BASE) >> self._page_shift
-        last = (handle + length - 1 - SWAP_BASE) >> self._page_shift
+        idx = (handle - SWAP_BASE) >> self._page_shift
         if self._trace is not None:
-            for idx in range(first, last + 1):
-                self._trace.append((idx, is_write))
+            self._trace.append((idx, is_write))
         res = self._resident
-        for idx in range(first, last + 1):
+        if idx in res:
+            res.move_to_end(idx)
+            if is_write:
+                res[idx] = True
+        else:
+            self._swap_in(idx, is_write)
+
+    def touch_blocks(self, handles, is_write: bool) -> None:
+        """:meth:`touch_block` for each live handle of ``handles``, in order."""
+        shift = self._page_shift
+        trace = self._trace
+        res = self._resident
+        for handle in handles:
+            if handle < SWAP_BASE:
+                continue
+            idx = (handle - SWAP_BASE) >> shift
+            if trace is not None:
+                trace.append((idx, is_write))
             if idx in res:
                 res.move_to_end(idx)
                 if is_write:
                     res[idx] = True
-                continue
-            self._faults += 1
-            self._swap_ins += 1
-            cap = self._cache_cap
-            if cap == 0:
-                # degenerate cache: the page is fetched, used, written
-                # straight back; it can never stay resident
-                if is_write:
-                    self._write_backs += 1
-                continue
-            if len(res) >= cap:
-                _, dirty = res.popitem(last=False)
-                if dirty:
-                    self._write_backs += 1
-            res[idx] = is_write
+            else:
+                self._swap_in(idx, is_write)
+
+    def _swap_in(self, idx: PageId, is_write: bool) -> None:
+        """Fault non-resident page ``idx`` in, evicting the LRU page (and
+        writing it back when dirty) when the cache is full."""
+        self._swap_ins += 1
+        cap = self._cache_cap
+        if cap == 0:
+            # degenerate cache: the page is fetched, used, written straight
+            # back; it can never stay resident
+            if is_write:
+                self._write_backs += 1
+            return
+        res = self._resident
+        if len(res) >= cap:
+            _, dirty = res.popitem(last=False)
+            if dirty:
+                self._write_backs += 1
+        res[idx] = is_write
 
     def evict_all(self) -> None:
         res = self._resident
@@ -401,10 +432,10 @@ class Space:
         return size
 
     def stats(self) -> SwapStats:
-        return SwapStats(self._swap_ins, self._write_backs, self._faults)
+        return SwapStats(self._swap_ins, self._write_backs)
 
     def reset_stats(self) -> None:
-        self._swap_ins = self._write_backs = self._faults = 0
+        self._swap_ins = self._write_backs = 0
 
     def residency(self) -> tuple[tuple[int, ...], frozenset[int]]:
         """Resident pages in LRU-to-MRU order plus the dirty subset."""

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collective import CollectiveAllocator, HintAllocator
-from .containers import BTree, BTreeVariant, SkipList, SkipListVariant
+from .containers import (BTree, BTreeVariant, SkipList, SkipListVariant,
+                         btree_block_bytes, tower_block_bytes)
 from .farmem import ConfigError, Space, SpaceConfig, SwapStats
 from .metrics import LinkComposition, link_composition
 
@@ -52,8 +53,8 @@ class ZipfSampler:
     def __init__(self, n: int, alpha: float):
         if n < 1:
             raise ConfigError(f"population must be >= 1, got {n}")
-        if alpha < 0:
-            raise ConfigError(f"skew must be >= 0, got {alpha}")
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise ConfigError(f"skew must be a finite value >= 0, got {alpha}")
         self.n = n
         self.alpha = alpha
         weights = np.arange(1, n + 1, dtype=np.float64) ** -alpha
@@ -117,6 +118,17 @@ class BenchConfig:
             raise ConfigError(
                 f"{self.total_data_bytes} data bytes hold no "
                 f"{self.pair_size_bytes}-byte pair")
+        SpaceConfig(self.page_size_bytes).validate()
+        # a tall skip-list tower that overflows a page still fails when it
+        # is carved; the smallest node must fit before any build starts
+        family = VARIANTS[self.variant][0]
+        value_slot = self.pair_size_bytes - 8
+        node = (btree_block_bytes(value_slot) if family == "btree"
+                else tower_block_bytes(1, value_slot))
+        if node > self.page_size_bytes:
+            raise ConfigError(
+                f"a {node}-byte {family} node cannot fit a "
+                f"{self.page_size_bytes}-byte page")
         if not (math.isfinite(self.l_percent) and self.l_percent > 0):
             raise ConfigError(
                 f"local budget must be a finite value > 0 %, got {self.l_percent}")

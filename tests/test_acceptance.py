@@ -406,7 +406,7 @@ def _allocator_invariants():
         if space.is_purely_local(h):
             space.touch(h, layout.size_bytes, True)
     s = space.stats()
-    assert (s.swap_ins, s.write_backs, s.faults) == (0, 0, 0)
+    assert (s.swap_ins, s.write_backs) == (0, 0)
 
 
 def _cache_scripts(n_scripts=10_000):
@@ -432,7 +432,6 @@ def _cache_scripts(n_scripts=10_000):
         stats = space.stats()
         assert stats.swap_ins == naive.swap_ins
         assert stats.write_backs == naive.write_backs
-        assert stats.faults == naive.swap_ins
         # page ids equal the script's page indices here, so residency and
         # dirty state compare directly
         order, dirty = space.residency()

@@ -160,6 +160,14 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
             (["--update-ratio", "inf"], "1"),
             # only the last cell is bad: it must still fail before any build
             (["--alpha", "0.8", "--alpha", "-1"], "1"),
+            (["--page-size", "300"], "1"),
+            (["--page-size", "128"], "1"),
+            (["--variant", "plain", "--page-size", "512"], "1"),
+            (["--variant", "skip-plain", "--value-size", "300",
+              "--page-size", "256"], "1"),
+            # the skip list's nodes fit, the B-tree's do not
+            (["--variant", "skip-plain", "--variant", "plain",
+              "--page-size", "512"], "1"),
             ([], "abc"),
             ([], "1.5")]:
         monkeypatch.setenv("FARLOC_THREADS", threads)

@@ -40,7 +40,7 @@ def test_page_size_is_the_swap_unit(make_space):
     page = space.create_page()
     h = space.carve_in_page(page, 4096)
     space.touch(h, 4096)
-    assert space.stats() == SwapStats(swap_ins=1, write_backs=0, faults=1)
+    assert space.stats() == SwapStats(swap_ins=1, write_backs=0)
     space.touch(h, 1)
     assert space.stats().swap_ins == 1      # still resident, no second fetch
 
@@ -191,7 +191,7 @@ def test_scripted_five_fault_sequence(space_with_page_blocks):
     # touch wants
     for h in (a, b, c, a, b):
         space.touch(h, 4096)
-    assert space.stats() == SwapStats(swap_ins=5, write_backs=0, faults=5)
+    assert space.stats() == SwapStats(swap_ins=5, write_backs=0)
 
 
 def test_repeat_touches_hit_the_cache(space_with_page_blocks):
@@ -229,7 +229,7 @@ def test_zero_capacity_cache_never_retains(space_with_page_blocks):
     space.touch(a, 4096)
     space.touch(a, 4096, is_write=True)
     space.touch(a, 4096)
-    assert space.stats() == SwapStats(swap_ins=3, write_backs=1, faults=3)
+    assert space.stats() == SwapStats(swap_ins=3, write_backs=1)
     assert space.residency() == ((), frozenset())
 
 
@@ -257,14 +257,14 @@ def test_touch_errors(space_with_page_blocks):
 
 def test_stats_snapshot_and_reset(space_with_page_blocks):
     space, (a, b) = space_with_page_blocks(cache_pages=1, n_pages=2)
-    assert space.stats() == SwapStats(0, 0, 0)
+    assert space.stats() == SwapStats(0, 0)
     space.touch(a, 4096, is_write=True)
     space.touch(b, 4096)
     space.reset_stats()
-    assert space.stats() == SwapStats(0, 0, 0)
+    assert space.stats() == SwapStats(0, 0)
     # residency survives a reset: touching the resident page is free
     space.touch(b, 4096)
-    assert space.stats() == SwapStats(0, 0, 0)
+    assert space.stats() == SwapStats(0, 0)
 
 
 def test_residency_reports_lru_order_and_dirty_set(space_with_page_blocks):
@@ -297,7 +297,6 @@ def test_lru_matches_naive_model_on_random_scripts(space_with_page_blocks):
         stats = space.stats()
         assert (stats.swap_ins, stats.write_backs) == (ref.swap_ins,
                                                        ref.write_backs)
-        assert stats.faults == stats.swap_ins
         order, dirty = space.residency()
         assert list(order) == ref.order
         assert dirty == frozenset(ref.dirty)
@@ -366,3 +365,76 @@ def test_trace_is_cache_independent_and_replays_exactly():
             lru.touch_page(page, w)
         assert (lru.swap_ins, lru.write_backs) == (st_got.swap_ins,
                                                    st_got.write_backs)
+
+
+# -- unchecked whole-block entries ---------------------------------------
+
+_CHUNK = st.tuples(st.booleans(), st.lists(st.integers(0, 63), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cache=st.integers(0, 4),
+       page_blocks=st.lists(st.lists(st.integers(1, 1024), min_size=1, max_size=3),
+                            min_size=1, max_size=5),
+       local_blocks=st.lists(st.integers(1, 64), max_size=3),
+       script=st.lists(st.one_of(st.none(), _CHUNK), max_size=20))
+def test_fast_paths_match_touch_and_the_naive_model(cache, page_blocks,
+                                                    local_blocks, script):
+    """``touch`` over whole blocks, ``touch_block`` and ``touch_blocks`` over
+    any chunking of one script give one trace, one set of statistics and
+    one residency, and all match the naive LRU.  A chunk is (is_write,
+    block indices); None drops every cached page."""
+
+    def fresh():
+        space = Space(SpaceConfig(4096, 256, cache))
+        blocks = []
+        for sizes in page_blocks:
+            page = space.create_page()
+            blocks += [(space.carve_in_page(page, s), s) for s in sizes]
+        blocks += [(space.carve_purely_local(s), s) for s in local_blocks]
+        sink = []
+        space.set_trace(sink)
+        return space, blocks, sink
+
+    def by_touch(space, blocks, is_write, idxs):
+        for i in idxs:
+            h, size = blocks[i % len(blocks)]
+            space.touch(h, size, is_write)
+
+    def by_touch_block(space, blocks, is_write, idxs):
+        for i in idxs:
+            space.touch_block(blocks[i % len(blocks)][0], is_write)
+
+    def by_touch_blocks(space, blocks, is_write, idxs):
+        space.touch_blocks([blocks[i % len(blocks)][0] for i in idxs], is_write)
+
+    results = []
+    for route in (by_touch, by_touch_block, by_touch_blocks):
+        space, blocks, sink = fresh()
+        for chunk in script:
+            if chunk is None:
+                space.evict_all()
+            else:
+                route(space, blocks, *chunk)
+        results.append((space.stats(), space.residency(), sink))
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+    naive = NaiveLru(cache)
+    trace = []
+    for chunk in script:
+        if chunk is None:
+            naive.evict_all()
+            continue
+        is_write, idxs = chunk
+        for i in idxs:
+            h = blocks[i % len(blocks)][0]
+            if h >= SWAP_BASE:
+                page = page_index(h, 4096)
+                naive.touch_page(page, is_write)
+                trace.append((page, is_write))
+    stats, (order, dirty), sink = results[0]
+    assert (stats.swap_ins, stats.write_backs) == (naive.swap_ins, naive.write_backs)
+    assert list(order) == naive.order
+    assert dirty == frozenset(naive.dirty)
+    assert sink == trace

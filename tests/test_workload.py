@@ -78,8 +78,9 @@ def test_rank_probabilities_follow_the_power_law(alpha):
 def test_zipf_argument_errors():
     with pytest.raises(ConfigError):
         ZipfSampler(0, 0.8)
-    with pytest.raises(ConfigError):
-        ZipfSampler(10, -0.1)
+    for alpha in (-0.1, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            ZipfSampler(10, alpha)
 
 
 # -- configuration -------------------------------------------------------
@@ -110,9 +111,17 @@ def test_config_validation():
                 dict(update_ratio=1.5), dict(update_ratio=-0.1),
                 dict(update_ratio=float("nan")),
                 dict(update_ratio=float("inf")),
-                dict(num_queries=-1), dict(scan_len_max=0)):
+                dict(num_queries=-1), dict(scan_len_max=0),
+                dict(page_size_bytes=300), dict(page_size_bytes=128),
+                # the smallest node block cannot fit one page
+                dict(variant="plain", page_size_bytes=512),
+                dict(variant="skip-plain", value_size_bytes=300,
+                     page_size_bytes=256)):
         with pytest.raises(ConfigError):
             BenchConfig(**bad).validate()
+    # only towers of level 10 and up overflow a 256-byte page: left to the
+    # carve that meets one
+    BenchConfig(variant="skip-plain", page_size_bytes=256).validate()
 
 
 def test_local_budget_split():
