@@ -6,10 +6,14 @@ variant x L x alpha x update-ratio and writes CSV:
 * swaps report: measurement-phase swap-in / write-back counts per cell
 * links report: structural-link composition ratios per cell
 
-Cells are independent; FARLOC_THREADS > 1 fans them out over a process
-pool of at most one worker per cell and per CPU.  Row order always follows
-the sweep order, not completion order.  Every cell is validated before the
-first one is built.
+Cells that share a build key (see ``workload.build_key``: the variant, the
+data, value and page sizes, the seed and the local budget) share one
+placement: the sweep runs inside a ``PlacementReuse`` scope, so the first
+such cell builds it and the others get it back restored to its post-build
+state.  FARLOC_THREADS > 1 fans the groups of cells that share a key out over
+a process pool of at most one worker per group and per CPU, each worker with
+its own scope.  Row order always follows the sweep order, not completion
+order.  The output paths and every cell are checked before the first build.
 """
 from __future__ import annotations
 
@@ -22,7 +26,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .farmem import ConfigError, FarlocError
-from .workload import VARIANTS, BenchConfig, BenchReport, run_benchmark
+from .workload import (VARIANTS, BenchConfig, BenchReport, PlacementReuse,
+                       build_key, run_benchmark)
 
 SWAPS_HEADER = ["variant", "L_percent", "alpha", "update_ratio",
                 "page_size", "num_queries", "swap_ins", "write_backs"]
@@ -101,23 +106,41 @@ def parse_args(argv=None) -> tuple[SweepSpec, str, str]:
     return spec, args.out, args.report
 
 
+def _run_cells(cells: list[BenchConfig]) -> list[BenchReport]:
+    """One report per cell, in order, with placements reused between cells
+    that share a build key."""
+    with PlacementReuse(cells):
+        return [run_benchmark(cell) for cell in cells]
+
+
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[BenchReport]:
     """One report per cell, in sweep order.  threads=None reads
-    FARLOC_THREADS (default 1); more than one worker uses a process pool,
-    which starts all its workers at once under fork, so it never gets more
-    workers than cells or CPUs."""
+    FARLOC_THREADS (default 1); more than one worker uses a process pool
+    that runs each group of cells sharing a build key in one worker.  The
+    pool starts all its workers at once under fork, so it never gets more
+    workers than groups or CPUs.  Every cell is validated first."""
     cells = spec.cells()
+    for cell in cells:
+        cell.validate()
     if threads is None:
         raw = os.environ.get("FARLOC_THREADS", "1") or "1"
         try:
             threads = int(raw)
         except ValueError:
             raise ConfigError(f"FARLOC_THREADS must be an integer, got {raw!r}") from None
-    workers = min(threads, len(cells), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_benchmark, cells))
-    return [run_benchmark(cell) for cell in cells]
+    groups: dict[tuple, list[int]] = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault(build_key(cell), []).append(i)
+    workers = min(threads, len(groups), os.cpu_count() or 1)
+    if workers <= 1:
+        return _run_cells(cells)
+    reports: list[BenchReport] = [None] * len(cells)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        batches = pool.map(_run_cells, [[cells[i] for i in g] for g in groups.values()])
+        for group, batch in zip(groups.values(), batches):
+            for i, report in zip(group, batch):
+                reports[i] = report
+    return reports
 
 
 def _num(x: float) -> str:
@@ -148,11 +171,22 @@ def _links_path(out_path: Path) -> Path:
     return out_path.with_name(out_path.stem + "_links" + (out_path.suffix or ".csv"))
 
 
+def _check_out_path(path: Path) -> None:
+    if path.is_dir():
+        raise ConfigError(f"output path {path} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"output directory {path.parent} does not exist")
+    if not os.access(path.parent, os.W_OK):
+        raise ConfigError(f"output directory {path.parent} is not writable")
+
+
 def main(argv=None) -> int:
     spec, out_path, report = parse_args(argv)
     try:
-        for cell in spec.cells():
-            cell.validate()
+        if out_path != "-":
+            _check_out_path(Path(out_path))
+            if report == "both":
+                _check_out_path(_links_path(Path(out_path)))
         reports = run_sweep(spec)
         if out_path == "-":
             if report in ("swaps", "both"):

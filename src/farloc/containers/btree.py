@@ -327,21 +327,6 @@ class BTree(PlacedContainer):
 
     # -- relocation ------------------------------------------------------
 
-    def relocate_to_swappable(self, h: Handle) -> Handle:
-        """Move a node to the swappable plain sub-allocator, rewriting every
-        reference to it; its priority-list position is unchanged."""
-        self._need_collective()
-        return self._relocate(h, self._alloc_plain)
-
-    def relocate_to_page(self, h: Handle, page_ref) -> Handle:
-        self._need_collective()
-        return self._relocate(
-            h, lambda layout: self._alloc.sub_allocate(page_ref, 1, layout))
-
-    def _need_collective(self) -> None:
-        if self._alloc is None:
-            raise UsageError("this variant has no collective allocator")
-
     def _repoint(self, h: Handle, new_h: Handle, node: _Node, referrers) -> None:
         """Patch the parent's child slot, the children's parent links and the
         root; the parent link finds the only referrer, so ``referrers`` is
@@ -431,6 +416,22 @@ class BTree(PlacedContainer):
         if self._root:
             rec(self._root)
         return out
+
+    def save_values(self) -> dict[Handle, list[bytes]]:
+        """Every stored value, node by node, for :meth:`restore_values`."""
+        return {h: list(node.vals) for h, node in self._nodes.items()}
+
+    def restore_values(self, saved: dict[Handle, list[bytes]]) -> None:
+        """Put back the values :meth:`save_values` returned.  Only updates
+        may have run since, so every node still holds the same keys."""
+        nodes = self._nodes
+        if saved.keys() != nodes.keys():
+            raise UsageError("the tree's nodes changed since its values were saved")
+        for h, vals in saved.items():
+            node = nodes[h]
+            if len(node.keys) != len(vals):
+                raise UsageError("the tree's keys changed since its values were saved")
+            node.vals[:] = vals
 
     def structural_links(self):
         """Parent-to-child edges, one tuple per live link."""

@@ -270,6 +270,19 @@ class SkipList(PlacedContainer):
             h = n.forwards[0]
         return out
 
+    def save_values(self) -> dict[Handle, bytes]:
+        """Every stored value, node by node, for :meth:`restore_values`."""
+        return {h: node.val for h, node in self._nodes.items()}
+
+    def restore_values(self, saved: dict[Handle, bytes]) -> None:
+        """Put back the values :meth:`save_values` returned.  Only updates
+        may have run since, so every node still holds the same key."""
+        nodes = self._nodes
+        if saved.keys() != nodes.keys():
+            raise UsageError("the list's nodes changed since its values were saved")
+        for h, val in saved.items():
+            nodes[h].val = val
+
     def structural_links(self):
         """Forward edges between stored nodes, every level; the head tower
         contributes none."""

@@ -442,6 +442,20 @@ class Space:
         res = self._resident
         return tuple(res.keys()), frozenset(p for p, d in res.items() if d)
 
+    def restore(self, residency: tuple[tuple[int, ...], frozenset[int]],
+                stats: SwapStats) -> None:
+        """Put back the cache and the counters that :meth:`residency` and
+        :meth:`stats` returned; blocks and pages are left as they are."""
+        order, dirty = residency
+        n = len(self._pages)
+        if len(order) > self._cache_cap or any(not 0 <= p < n for p in order):
+            raise UsageError("residency does not fit this space's cache and pages")
+        res = self._resident
+        res.clear()
+        for p in order:
+            res[p] = p in dirty
+        self._swap_ins, self._write_backs = stats.swap_ins, stats.write_backs
+
     def set_trace(self, sink: list[tuple[int, bool]] | None) -> None:
         """Record every swappable page touch as ``(page, is_write)`` into sink."""
         self._trace = sink

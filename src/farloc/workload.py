@@ -15,11 +15,17 @@ purely-local region, and goes entirely to the page cache otherwise.
 All randomness derives from the config seed through independent streams so
 that changing the update ratio alters neither the query keys nor the scan
 lengths, keeping variants and update mixes comparable cell by cell.
+
+Placement reads none of the skew, the update mix or the query count, so
+within a :class:`PlacementReuse` scope the cells that differ only in those
+share one build.
 """
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +138,9 @@ class BenchConfig:
         if not (math.isfinite(self.l_percent) and self.l_percent > 0):
             raise ConfigError(
                 f"local budget must be a finite value > 0 %, got {self.l_percent}")
+        if not math.isfinite(self.total_data_bytes * self.l_percent):
+            raise ConfigError(f"local budget of {self.l_percent} % is too large")
+        SpaceConfig(self.page_size_bytes, *local_budget(self)).validate()
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigError(f"skew must be a finite value >= 0, got {self.alpha}")
         # the range test rejects nan as well
@@ -141,6 +150,8 @@ class BenchConfig:
             raise ConfigError(f"query count must be >= 0, got {self.num_queries}")
         if self.scan_len_max < 1:
             raise ConfigError(f"max scan length must be >= 1, got {self.scan_len_max}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -181,11 +192,77 @@ def placement_keys(cfg: BenchConfig) -> np.ndarray:
     return fnv64_batch(np.arange(n - 1, -1, -1, dtype=np.uint64))
 
 
+def build_key(cfg: BenchConfig) -> tuple:
+    """Everything a build reads from its config.  Cells with one key get one
+    placement, whatever their skew, update mix and query count."""
+    return (cfg.variant, cfg.total_data_bytes, cfg.value_size_bytes,
+            cfg.page_size_bytes, cfg.seed, local_budget(cfg))
+
+
+class PlacementReuse:
+    """Sweep-scoped reuse of placements, opened as a context manager over
+    the cells that will be run.
+
+    Inside the scope, :func:`build_placement` builds the first cell of each
+    key as usual and keeps the result only when a later cell has the same
+    key.  Each later cell gets the same container and space back, restored
+    to their post-build state: every stored value, the cache order, the
+    dirty bits and the counters.  Replay changes nothing else, because an
+    update rewrites a value in place and a scan only reads.  A placement is
+    dropped when its key's last cell takes it, so the table holds only what
+    later cells still need.
+    """
+
+    def __init__(self, cells):
+        self._left = Counter(build_key(c) for c in cells)
+        self._kept: dict[tuple, tuple] = {}
+        self._token = None
+
+    def __enter__(self) -> PlacementReuse:
+        self._token = _active_reuse.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _active_reuse.reset(self._token)
+        self._kept.clear()
+
+    def placement(self, cfg: BenchConfig):
+        key = build_key(cfg)
+        later = self._left.pop(key, 0) - 1
+        if later > 0:
+            self._left[key] = later
+            kept = self._kept.get(key)
+        else:
+            kept = self._kept.pop(key, None)
+        if kept is None:
+            container, space = _build(cfg)
+            if later > 0:
+                self._kept[key] = (container, space, container.save_values(),
+                                   space.residency(), space.stats())
+            return container, space
+        container, space, values, residency, stats = kept
+        container.restore_values(values)
+        space.restore(residency, stats)
+        return container, space
+
+
+_active_reuse: ContextVar[PlacementReuse | None] = ContextVar(
+    "farloc_placement_reuse", default=None)
+
+
 def build_placement(cfg: BenchConfig):
     """Placement phase: a fresh space and container, all pairs inserted and
     the batch rearrangement run when the variant has one.  Returns
-    (container, space)."""
+    (container, space).  Inside a :class:`PlacementReuse` scope, a cell
+    whose key an earlier cell built gets that placement back instead."""
     cfg.validate()
+    reuse = _active_reuse.get()
+    if reuse is None:
+        return _build(cfg)
+    return reuse.placement(cfg)
+
+
+def _build(cfg: BenchConfig):
     family, variant, uses_local = VARIANTS[cfg.variant]
     pl_bytes, cache_pages = local_budget(cfg)
     space = Space(SpaceConfig(cfg.page_size_bytes, pl_bytes, cache_pages))

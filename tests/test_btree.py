@@ -30,6 +30,14 @@ def pl_handles(tree):
     return {h for h in tree.node_handles() if tree.space.is_purely_local(h)}
 
 
+def relocate(tree, h, page_ref=None):
+    """Move node ``h`` to the sub-allocator ``page_ref`` (default: swappable
+    plain memory) through the tree's own relocation."""
+    alloc = tree._alloc
+    ref = alloc.swappable_plain if page_ref is None else page_ref
+    return tree._relocate(h, lambda layout: alloc.sub_allocate(ref, 1, layout))
+
+
 # -- construction --------------------------------------------------------
 
 def test_config_errors():
@@ -263,7 +271,7 @@ def test_dfs_sibling_lands_on_the_parents_page():
     for k in range(1, 6):
         tree.insert(k, b"v")
     ref = alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
-    root = tree.relocate_to_page(btree_root(tree), ref)
+    root = relocate(tree, btree_root(tree), ref)
     page = alloc.suballocator_page(ref)
     assert tree.space.page_of(root) == page
     before = set(tree.node_handles())
@@ -280,7 +288,7 @@ def test_dfs_sibling_falls_back_to_plain_when_the_parents_page_is_full():
     for k in range(1, 6):
         tree.insert(k, b"v")
     ref = alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
-    root = tree.relocate_to_page(btree_root(tree), ref)
+    root = relocate(tree, btree_root(tree), ref)
     filler = 4096 - tree.space.page_allocated_bytes(
         alloc.suballocator_page(ref))
     alloc.sub_allocate(ref, 1, ObjectLayout(filler, 8))
@@ -317,7 +325,7 @@ def test_relocating_the_deepest_local_node_preserves_contents():
         tree.insert(k, b"%d" % k)
     before = tree.items()
     deepest = max(pl_handles(tree), key=lambda h: tree_depths(tree)[h])
-    moved = tree.relocate_to_swappable(deepest)
+    moved = relocate(tree, deepest)
     assert not tree.space.is_purely_local(moved)
     assert tree.items() == before
     tree.validate()
@@ -329,7 +337,7 @@ def test_relocating_the_root_updates_every_reference():
         tree.insert(k, bytes([k]))
     before = tree.items()
     old_root = btree_root(tree)
-    new_root = tree.relocate_to_swappable(old_root)
+    new_root = relocate(tree, old_root)
     assert new_root != old_root
     assert btree_root(tree) == new_root
     assert tree.items() == before
@@ -342,16 +350,9 @@ def test_relocate_to_page_places_on_that_page():
     for k in range(40):
         tree.insert(k, b"v")
     ref = tree._alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
-    h = tree.relocate_to_page(tree.node_handles()[3], ref)
+    h = relocate(tree, tree.node_handles()[3], ref)
     assert tree.space.page_of(h) == tree._alloc.suballocator_page(ref)
     tree.validate()
-
-
-def test_relocation_needs_a_collective_allocator():
-    tree = make_tree(BTreeVariant.HINT)
-    tree.insert(1, b"v")
-    with pytest.raises(UsageError):
-        tree.relocate_to_swappable(tree.node_handles()[0])
 
 
 # -- batch rearrangement -------------------------------------------------

@@ -168,6 +168,11 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
             # the skip list's nodes fit, the B-tree's do not
             (["--variant", "skip-plain", "--variant", "plain",
               "--page-size", "512"], "1"),
+            (["--seed", "-1"], "1"),
+            # plain fits, local's purely-local half does not
+            (["--variant", "plain", "--variant", "local",
+              "--l-percent", "1e15"], "1"),
+            (["--l-percent", "1e308"], "1"),
             ([], "abc"),
             ([], "1.5")]:
         monkeypatch.setenv("FARLOC_THREADS", threads)
@@ -177,13 +182,35 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         assert not (tmp_path / "x.csv").exists()
 
 
+def test_bad_output_paths_fail_before_any_build(tmp_path, capsys, monkeypatch):
+    def no_build(cfg):
+        raise AssertionError("a cell was built before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_benchmark", no_build)
+    (tmp_path / "r_links.csv").mkdir()
+    for out, report in [(tmp_path / "missing" / "r.csv", "swaps"),
+                        (tmp_path / "missing" / "r.csv", "links"),
+                        (tmp_path, "swaps"),
+                        # the swaps path is fine, its links companion is not
+                        (tmp_path / "r.csv", "both")]:
+        rc = main(TINY + ["--report", report, "--out", str(out)])
+        assert rc == 1, (out, report)
+        assert capsys.readouterr().err.startswith("error:"), (out, report)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r_links.csv"]
+
+
 def test_thread_fanout_matches_serial(tmp_path, monkeypatch):
-    args = TINY + ["--l-percent", "5", "--l-percent", "50"]
-    assert main(args + ["--out", str(tmp_path / "serial.csv")]) == 0
-    monkeypatch.setenv("FARLOC_THREADS", "2")
-    assert main(args + ["--out", str(tmp_path / "pool.csv")]) == 0
-    assert (tmp_path / "serial.csv").read_bytes() == \
-        (tmp_path / "pool.csv").read_bytes()
+    # two sweeps: one cell per placement, then four cells per placement
+    shared = ["--variant", "local", "--alpha", "0.8", "--alpha", "1.3",
+              "--update-ratio", "0.05", "--update-ratio", "0.5"]
+    for name, extra in (("own", []), ("shared", shared)):
+        args = TINY + ["--l-percent", "5", "--l-percent", "50"] + extra
+        monkeypatch.setenv("FARLOC_THREADS", "1")
+        assert main(args + ["--out", str(tmp_path / f"{name}_serial.csv")]) == 0
+        monkeypatch.setenv("FARLOC_THREADS", "2")
+        assert main(args + ["--out", str(tmp_path / f"{name}_pool.csv")]) == 0
+        assert (tmp_path / f"{name}_serial.csv").read_bytes() == \
+            (tmp_path / f"{name}_pool.csv").read_bytes()
 
 
 class RecordingPool:
@@ -203,21 +230,48 @@ class RecordingPool:
         return map(fn, cells)
 
 
-@pytest.mark.parametrize("threads, n_cells, cpus, pool", [
-    (64, 3, 4, 3),          # never more workers than cells
-    (64, 10, 4, 4),         # ... or CPUs
-    (2, 10, 4, 2),
-    (1, 10, 4, None),       # one worker runs in process
-    (8, 1, 4, None),
-    (8, 10, None, None),    # unknown CPU count: one
+def pool_case(threads, n_groups, cpus, pool, per_group=1):
+    label = n_groups if per_group == 1 else f"{n_groups}x{per_group}"
+    return pytest.param(threads, n_groups, per_group, cpus, pool,
+                        id=f"{threads}-{label}-{cpus}-{pool}")
+
+
+@pytest.mark.parametrize("threads, n_groups, per_group, cpus, pool", [
+    pool_case(64, 3, 4, 3),          # never more workers than groups
+    pool_case(64, 10, 4, 4),         # ... or CPUs
+    pool_case(2, 10, 4, 2),
+    pool_case(1, 10, 4, None),       # one worker runs in process
+    pool_case(8, 1, 4, None),
+    pool_case(8, 10, None, None),    # unknown CPU count: one
+    # cells that share a placement share a worker
+    pool_case(64, 1, 4, None, per_group=6),
+    pool_case(64, 3, 8, 3, per_group=4),
+    pool_case(64, 10, 4, 4, per_group=2),
+    pool_case(2, 3, 4, 2, per_group=4),
 ])
-def test_process_pool_is_bounded(monkeypatch, threads, n_cells, cpus, pool):
+def test_process_pool_is_bounded(monkeypatch, threads, n_groups, per_group, cpus,
+                                 pool):
     RecordingPool.sizes = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "run_benchmark", lambda cfg: cfg)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    # L changes the placement, alpha does not
     spec, _, _ = parse_args(
-        [x for i in range(n_cells) for x in ("--l-percent", str(i + 1))])
+        [x for i in range(n_groups) for x in ("--l-percent", str(i + 1))]
+        + [x for i in range(per_group) for x in ("--alpha", str(i + 1))])
     monkeypatch.setenv("FARLOC_THREADS", str(threads))
     assert run_sweep(spec) == spec.cells()
     assert RecordingPool.sizes == ([] if pool is None else [pool])
+
+
+def test_pool_rows_follow_sweep_order_when_groups_interleave(monkeypatch):
+    RecordingPool.sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "run_benchmark", lambda cfg: cfg)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    # a repeated L puts one placement's cells on both sides of another's
+    spec, _, _ = parse_args(["--l-percent", "1", "--l-percent", "2",
+                             "--l-percent", "1", "--alpha", "1", "--alpha", "2"])
+    monkeypatch.setenv("FARLOC_THREADS", "4")
+    assert run_sweep(spec) == spec.cells()
+    assert RecordingPool.sizes == [2]

@@ -278,6 +278,27 @@ def test_residency_reports_lru_order_and_dirty_set(space_with_page_blocks):
     assert dirty == frozenset({1})
 
 
+def test_restore_puts_back_cache_order_dirty_bits_and_counters(
+        space_with_page_blocks):
+    space, (a, b, c) = space_with_page_blocks(cache_pages=2, n_pages=3)
+    space.touch(a, 4096, is_write=True)
+    space.touch(b, 4096)
+    saved = space.residency(), space.stats()
+    space.touch(c, 4096, is_write=True)       # evicts dirty a
+    space.evict_all()
+    space.reset_stats()
+    space.restore(*saved)
+    assert (space.residency(), space.stats()) == saved
+    # the LRU page is a, and it is still dirty: a miss evicts and writes it
+    space.touch(c, 4096)
+    assert space.stats() == SwapStats(3, 1)
+    assert space.residency() == ((1, 2), frozenset())
+    with pytest.raises(UsageError):
+        space.restore(((0, 1, 2), frozenset()), SwapStats())   # over capacity
+    with pytest.raises(UsageError):
+        space.restore(((7,), frozenset()), SwapStats())         # no such page
+
+
 def test_lru_matches_naive_model_on_random_scripts(space_with_page_blocks):
     rng = random.Random(42)
     for _ in range(300):

@@ -116,12 +116,19 @@ def test_config_validation():
                 # the smallest node block cannot fit one page
                 dict(variant="plain", page_size_bytes=512),
                 dict(variant="skip-plain", value_size_bytes=300,
-                     page_size_bytes=256)):
+                     page_size_bytes=256),
+                dict(seed=-1),
+                # half of L is purely-local: more than the address layout holds
+                dict(variant="local", l_percent=1e15),
+                # L% of the data overflows a float
+                dict(l_percent=1e308)):
         with pytest.raises(ConfigError):
             BenchConfig(**bad).validate()
     # only towers of level 10 and up overflow a 256-byte page: left to the
     # carve that meets one
     BenchConfig(variant="skip-plain", page_size_bytes=256).validate()
+    # without a purely-local region all of L is page cache, which is unbounded
+    BenchConfig(variant="plain", l_percent=1e15).validate()
 
 
 def test_local_budget_split():
