@@ -172,12 +172,36 @@ def _links_path(out_path: Path) -> Path:
 
 
 def _check_out_path(path: Path) -> None:
+    try:
+        # the file is opened through any symlink, so check where it leads
+        path = path.resolve()
+    except (OSError, RuntimeError) as exc:   # RuntimeError: a symlink loop
+        raise ConfigError(f"output path {path}: {exc}") from None
     if path.is_dir():
         raise ConfigError(f"output path {path} is a directory")
     if not path.parent.is_dir():
         raise ConfigError(f"output directory {path.parent} does not exist")
     if not os.access(path.parent, os.W_OK):
         raise ConfigError(f"output directory {path.parent} is not writable")
+
+
+def _write_reports(reports: list[BenchReport], out_path: str, report: str) -> None:
+    if out_path == "-":
+        if report in ("swaps", "both"):
+            emit_swaps_csv(reports, sys.stdout)
+        if report in ("links", "both"):
+            emit_links_csv(reports, sys.stdout)
+        return
+    path = Path(out_path)
+    if report == "links":
+        with path.open("w", newline="") as f:
+            emit_links_csv(reports, f)
+        return
+    with path.open("w", newline="") as f:
+        emit_swaps_csv(reports, f)
+    if report == "both":
+        with _links_path(path).open("w", newline="") as f:
+            emit_links_csv(reports, f)
 
 
 def main(argv=None) -> int:
@@ -188,22 +212,10 @@ def main(argv=None) -> int:
             if report == "both":
                 _check_out_path(_links_path(Path(out_path)))
         reports = run_sweep(spec)
-        if out_path == "-":
-            if report in ("swaps", "both"):
-                emit_swaps_csv(reports, sys.stdout)
-            if report in ("links", "both"):
-                emit_links_csv(reports, sys.stdout)
-        else:
-            path = Path(out_path)
-            if report == "links":
-                with path.open("w", newline="") as f:
-                    emit_links_csv(reports, f)
-            else:
-                with path.open("w", newline="") as f:
-                    emit_swaps_csv(reports, f)
-                if report == "both":
-                    with _links_path(path).open("w", newline="") as f:
-                        emit_links_csv(reports, f)
+        try:
+            _write_reports(reports, out_path, report)
+        except OSError as exc:
+            raise FarlocError(f"cannot write the output: {exc}") from None
     except FarlocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

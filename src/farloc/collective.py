@@ -40,8 +40,8 @@ class SubAllocatorRef:
     id: int
 
     def __post_init__(self):
-        # refs key the per-sub-allocator byte ledgers on every allocation,
-        # so the hash is paid once here instead of per lookup
+        # a per-page ref keys the allocator's ref -> page map on every
+        # allocation into it, so the hash is paid once here, not per lookup
         object.__setattr__(self, "_hash", hash((self.kind, self.id)))
 
     def __hash__(self) -> int:
@@ -58,6 +58,29 @@ class ObjectLayout:
             raise UsageError(f"object size must be positive, got {self.size_bytes}")
         if self.align <= 0 or self.align & (self.align - 1):
             raise UsageError(f"alignment must be a power of two, got {self.align}")
+
+
+def _request_bytes(count: int, layout: ObjectLayout) -> int:
+    """Bytes of ``count`` objects of ``layout``, once both are checked."""
+    layout.validate()
+    if count < 1:
+        raise UsageError(f"count must be >= 1, got {count}")
+    return count * layout.size_bytes
+
+
+def _check_fits_page(space: Space, total: int) -> None:
+    if total > space.cfg.page_size_bytes:
+        raise UsageError(f"swappable block of {total} bytes cannot fit one page")
+
+
+def _check_free(space: Space, handle: Handle, count: int, layout: ObjectLayout) -> None:
+    """Check that ``handle`` names a live block of ``count`` objects of
+    ``layout``, as a deallocation must."""
+    expected = _request_bytes(count, layout)
+    actual = space.block_size(handle)
+    if actual != expected:
+        raise UsageError(
+            f"deallocate of {expected} bytes but block holds {actual} bytes")
 
 
 class _PagePool:
@@ -175,16 +198,16 @@ class _PagePool:
 
 
 class CollectiveAllocator:
+    """Facade over the sub-allocators of one space.  It keeps no byte counts
+    of its own: occupancy is read from the space's per-page and purely-local
+    ledgers."""
+
     def __init__(self, space: Space):
         self._space = space
         self._purely_local = SubAllocatorRef(Kind.PURELY_LOCAL, 0)
         self._plain = SubAllocatorRef(Kind.SWAPPABLE_PLAIN, 0)
         self._page_owner: dict[PageId, SubAllocatorRef] = {}
         self._ref_page: dict[SubAllocatorRef, PageId] = {}
-        self._allocated: dict[SubAllocatorRef, int] = {
-            self._purely_local: 0,
-            self._plain: 0,
-        }
         self._next_page_id = 1
         self._plain_pool = _PagePool(space, self._claim_for_plain)
 
@@ -216,7 +239,6 @@ class CollectiveAllocator:
             self._next_page_id += 1
             self._page_owner[page] = ref
             self._ref_page[ref] = page
-            self._allocated[ref] = 0
             return ref
         raise UsageError(f"unknown sub-allocator kind: {kind!r}")
 
@@ -232,85 +254,64 @@ class CollectiveAllocator:
     def if_suballocator_contains(self, ref: SubAllocatorRef, handle: Handle) -> bool:
         return self.get_suballocator_by_handle(handle) == ref
 
-    def suballocator_page(self, ref: SubAllocatorRef) -> PageId:
-        try:
-            return self._ref_page[ref]
-        except KeyError:
-            raise UsageError(f"{ref} does not own a single page") from None
+    def _known(self, ref: SubAllocatorRef) -> PageId | None:
+        """The page a per-page ``ref`` owns, None for the two singletons;
+        raises for a ref this allocator did not hand out."""
+        page = self._ref_page.get(ref)
+        if page is None and ref != self._purely_local and ref != self._plain:
+            raise UsageError(f"unknown sub-allocator {ref}")
+        return page
 
     # -- occupancy -------------------------------------------------------
 
     def allocated_bytes(self, ref: SubAllocatorRef) -> int:
-        self._known(ref)
-        return self._allocated[ref]
+        page = self._known(ref)
+        space = self._space
+        if page is not None:
+            return space.page_allocated_bytes(page)
+        if ref.kind is Kind.PURELY_LOCAL:
+            return space.purely_local_allocated_bytes
+        return sum(map(space.page_allocated_bytes, self._plain_pool.pages))
 
     def occupancy(self, ref: SubAllocatorRef) -> float:
-        self._known(ref)
+        page = self._known(ref)
+        space = self._space
+        if page is not None:
+            return space.page_allocated_bytes(page) / space.cfg.page_size_bytes
         if ref.kind is Kind.SWAPPABLE_PLAIN:
             return 0.0   # unbounded: occupancy is defined as zero
-        if ref.kind is Kind.PURELY_LOCAL:
-            cap = self._space.cfg.purely_local_capacity_bytes
-            if cap == 0:
-                return 1.0
-            return self._allocated[ref] / cap
-        return self._allocated[ref] / self._space.cfg.page_size_bytes
+        cap = space.cfg.purely_local_capacity_bytes
+        if cap == 0:
+            return 1.0
+        return space.purely_local_allocated_bytes / cap
 
     def is_occupancy_under(self, ref: SubAllocatorRef, ratio: float) -> bool:
         if not 0.0 <= ratio <= 1.0:
             raise UsageError(f"occupancy ratio must be in [0, 1], got {ratio}")
         return self.occupancy(ref) < ratio
 
-    def _known(self, ref: SubAllocatorRef) -> None:
-        if ref not in self._allocated:
-            raise UsageError(f"unknown sub-allocator {ref}")
-
     # -- allocation ------------------------------------------------------
 
     def sub_allocate(self, ref: SubAllocatorRef, count: int, layout: ObjectLayout) -> Handle:
-        self._known(ref)
-        layout.validate()
-        if count < 1:
-            raise UsageError(f"count must be >= 1, got {count}")
-        total = count * layout.size_bytes
+        page = self._known(ref)
+        total = _request_bytes(count, layout)
+        space = self._space
         if ref.kind is Kind.PURELY_LOCAL:
-            h = self._space.carve_purely_local(total, layout.align)
-        elif ref.kind is Kind.SWAPPABLE_PLAIN:
-            if total > self._space.cfg.page_size_bytes:
-                raise UsageError(f"swappable block of {total} bytes cannot fit one page")
-            h = self._plain_pool.allocate(total, layout.align)
-        else:
-            if total > self._space.cfg.page_size_bytes:
-                raise UsageError(f"swappable block of {total} bytes cannot fit one page")
-            h = self._space.carve_in_page(self._ref_page[ref], total, layout.align)
-        self._allocated[ref] += total
-        return h
+            return space.carve_purely_local(total, layout.align)
+        _check_fits_page(space, total)
+        if page is None:
+            return self._plain_pool.allocate(total, layout.align)
+        return space.carve_in_page(page, total, layout.align)
 
     def deallocate(self, handle: Handle, count: int, layout: ObjectLayout) -> None:
         """Free a block previously returned by any of this allocator's
         sub-allocators; the owning sub-allocator is derived from the handle."""
         ref = self.get_suballocator_by_handle(handle)
-        layout.validate()
-        if count < 1:
-            raise UsageError(f"count must be >= 1, got {count}")
-        expected = count * layout.size_bytes
-        actual = self._space.block_size(handle)
-        if actual != expected:
-            raise UsageError(
-                f"deallocate of {expected} bytes but block holds {actual} bytes")
+        _check_free(self._space, handle, count, layout)
         page = self._space.page_of(handle)
         self._space.free(handle)
-        self._allocated[ref] -= expected
         if ref.kind is Kind.SWAPPABLE_PLAIN:
             self._plain_pool.note_free(page)
-
-    def pages_of(self, ref: SubAllocatorRef) -> tuple[PageId, ...]:
-        """Pages owned by a sub-allocator (empty for purely-local)."""
-        self._known(ref)
-        if ref.kind is Kind.SWAPPABLE_PLAIN:
-            return self._plain_pool.pages
-        if ref.kind is Kind.NEW_PER_PAGE:
-            return (self._ref_page[ref],)
-        return ()
 
     def page_owner_map(self) -> dict[PageId, SubAllocatorRef]:
         return dict(self._page_owner)
@@ -333,12 +334,8 @@ class HintAllocator:
         return self._space
 
     def allocate(self, count: int, layout: ObjectLayout, hint: Handle | None = None) -> Handle:
-        layout.validate()
-        if count < 1:
-            raise UsageError(f"count must be >= 1, got {count}")
-        total = count * layout.size_bytes
-        if total > self._space.cfg.page_size_bytes:
-            raise UsageError(f"swappable block of {total} bytes cannot fit one page")
+        total = _request_bytes(count, layout)
+        _check_fits_page(self._space, total)
         if hint:
             page = self._space.page_of(hint)
             if page is not None:
@@ -352,17 +349,8 @@ class HintAllocator:
         return self._pool.allocate(total, layout.align)
 
     def deallocate(self, handle: Handle, count: int, layout: ObjectLayout) -> None:
-        layout.validate()
-        expected = count * layout.size_bytes
-        actual = self._space.block_size(handle)
-        if actual != expected:
-            raise UsageError(
-                f"deallocate of {expected} bytes but block holds {actual} bytes")
+        _check_free(self._space, handle, count, layout)
         page = self._space.page_of(handle)
         self._space.free(handle)
         if page is not None:
             self._pool.note_free(page)
-
-    @property
-    def pages(self) -> tuple[PageId, ...]:
-        return self._pool.pages

@@ -28,7 +28,7 @@ from bisect import bisect_right
 from enum import Enum
 
 from ..collective import ObjectLayout
-from ..farmem import ConfigError, Handle, UsageError
+from ..farmem import Handle, UsageError
 from .placement import PlacedContainer
 
 
@@ -46,13 +46,14 @@ _PARENT_ANCHOR_VARIANTS = frozenset(
     {BTreeVariant.DFS, BTreeVariant.LOCAL_DFS, BTreeVariant.VEB, BTreeVariant.LOCAL_VEB})
 
 
-DEFAULT_ORDER = 5
+# children per node at most; a node holds up to ORDER - 1 keys
+ORDER = 5
 
 
-def btree_block_bytes(value_slot: int, order: int = DEFAULT_ORDER) -> int:
+def btree_block_bytes(value_slot: int) -> int:
     """Bytes of one node block: keys, value slots, child pointers, then the
     parent, priority-list prev/next and key-count words."""
-    return (order - 1) * 8 + (order - 1) * value_slot + order * 8 + 8 * 3 + 8
+    return (ORDER - 1) * 8 + (ORDER - 1) * value_slot + ORDER * 8 + 8 * 3 + 8
 
 
 class _Node:
@@ -70,7 +71,7 @@ class _Node:
 
 
 class BTree(PlacedContainer):
-    """Order-``order`` B-tree (max ``order - 1`` keys per node).
+    """Order-5 B-tree (max 4 keys per node).
 
     Duplicate-key inserts are no-ops.  Values are byte strings of at most
     ``value_slot`` bytes; node blocks are padded to one fixed size so page
@@ -82,25 +83,17 @@ class BTree(PlacedContainer):
         {BTreeVariant.LOCAL, BTreeVariant.LOCAL_DFS, BTreeVariant.LOCAL_VEB})
     _REARRANGING = frozenset(BTreeVariant) - {BTreeVariant.PLAIN, BTreeVariant.LOCAL}
 
-    def __init__(self, allocator, variant: BTreeVariant, *,
-                 order: int = DEFAULT_ORDER, value_slot: int = 152):
-        if order < 3:
-            raise ConfigError(f"order must be >= 3, got {order}")
+    def __init__(self, allocator, variant: BTreeVariant, *, value_slot: int = 152):
         super().__init__(allocator, variant, value_slot)
-        self._order = order
-        self._max_keys = order - 1
-        self._min_keys = (order + 1) // 2 - 1
-        self._block = btree_block_bytes(value_slot, order)
+        self._max_keys = ORDER - 1
+        self._min_keys = (ORDER + 1) // 2 - 1
+        self._block = btree_block_bytes(value_slot)
         self._layout = ObjectLayout(self._block, 8)
         self._layouts[self._block] = self._layout
         self._root: Handle = 0
         self._height = 0
 
     # -- basic properties ------------------------------------------------
-
-    @property
-    def height(self) -> int:
-        return self._height
 
     @property
     def node_block_bytes(self) -> int:

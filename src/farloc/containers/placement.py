@@ -71,10 +71,6 @@ class PlacedContainer:
         return self._space
 
     @property
-    def variant(self):
-        return self._variant
-
-    @property
     def has_rearrangement(self) -> bool:
         return self._variant in self._REARRANGING
 

@@ -43,6 +43,11 @@ class SkipListVariant(Enum):
     LOCAL_PAGE = "local+page"
 
 
+# the tallest tower a node can draw, and the chance of each level above 1
+MAX_LEVEL = 20
+LEVEL_P = 0.5
+
+
 def tower_block_bytes(level: int, value_slot: int) -> int:
     """Bytes of one node block of ``level``: key, value slot, level word,
     priority-list prev/next, then one word per forward pointer."""
@@ -71,15 +76,12 @@ class SkipList(PlacedContainer):
         {SkipListVariant.HINT, SkipListVariant.PAGE, SkipListVariant.LOCAL_PAGE})
 
     def __init__(self, allocator, variant: SkipListVariant, *,
-                 max_level: int = 20, p: float = 0.5,
-                 value_slot: int = 152, level_seed: int = 0):
+                 max_level: int = MAX_LEVEL, value_slot: int = 152,
+                 level_seed: int = 0):
         if max_level < 1:
             raise ConfigError(f"max_level must be >= 1, got {max_level}")
-        if not 0.0 < p < 1.0:
-            raise ConfigError(f"level probability must be in (0, 1), got {p}")
         super().__init__(allocator, variant, value_slot)
         self._max_level = max_level
-        self._p = p
         self._base = tower_block_bytes(0, value_slot)
         for lvl in range(1, max_level + 1):
             size = self._base + 8 * lvl
@@ -102,7 +104,7 @@ class SkipList(PlacedContainer):
 
     def _draw_level(self) -> int:
         lvl = 1
-        while lvl < self._max_level and self._rng.random() < self._p:
+        while lvl < self._max_level and self._rng.random() < LEVEL_P:
             lvl += 1
         return lvl
 

@@ -25,8 +25,6 @@ import numpy as np
 Handle = int
 PageId = int
 
-NULL_HANDLE: Handle = 0
-
 # Purely-local blocks live in [LOCAL_BASE, LOCAL_BASE + capacity); page i of the
 # swappable region starts at SWAP_BASE + i * page_size.  Offset 0 stays invalid
 # so the null handle is unambiguous.
@@ -153,11 +151,16 @@ class _ArrayFreeList:
     """Address-ordered first-fit free list on numpy arrays.
 
     Same discipline and observable behavior as :class:`FreeList`; the fit
-    scan runs as one vectorized predicate instead of a Python loop.  A
-    long-lived region fragments into thousands of extents once small
-    residues accumulate, and the per-extent interpreter cost of the list
-    variant dominates there.  Pages stay on :class:`FreeList`: their extent
-    counts are tiny and numpy dispatch would only slow them down.
+    scan runs as one vectorized predicate instead of a Python loop.  Only
+    the purely-local region uses it: a long-lived region fragments into
+    thousands of extents once small residues accumulate, and the per-extent
+    interpreter cost of the list variant dominates there.  Measured on a
+    2-core VM, a 16 MiB ``skip-local`` build at L=50 averages 3 674 extents
+    per carve and takes 5.8-6.7 s on this class against 14.0-14.6 s on
+    :class:`FreeList`.  At the benchmark's sizes (at most 466 extents) the
+    two are within noise of each other.  Pages stay on :class:`FreeList`:
+    a page holds a few dozen blocks at most, and these arrays on pages made
+    builds 18-87 % slower.
     """
 
     __slots__ = ("_starts", "_sizes", "_n", "_max", "_stale")
@@ -463,10 +466,6 @@ class Space:
     @property
     def num_pages(self) -> int:
         return len(self._pages)
-
-    @property
-    def purely_local_free_bytes(self) -> int:
-        return self.cfg.purely_local_capacity_bytes - self._local_allocated
 
     @property
     def purely_local_allocated_bytes(self) -> int:

@@ -23,7 +23,6 @@ share one build.
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ import numpy as np
 from .collective import CollectiveAllocator, HintAllocator
 from .containers import (BTree, BTreeVariant, SkipList, SkipListVariant,
                          btree_block_bytes, tower_block_bytes)
+from .containers.skiplist import MAX_LEVEL
 from .farmem import ConfigError, Space, SpaceConfig, SwapStats
 from .metrics import LinkComposition, link_composition
 
@@ -125,12 +125,12 @@ class BenchConfig:
                 f"{self.total_data_bytes} data bytes hold no "
                 f"{self.pair_size_bytes}-byte pair")
         SpaceConfig(self.page_size_bytes).validate()
-        # a tall skip-list tower that overflows a page still fails when it
-        # is carved; the smallest node must fit before any build starts
+        # the largest node a build can carve must fit one page: every
+        # B-tree node, and a skip-list tower of the tallest drawable level
         family = VARIANTS[self.variant][0]
         value_slot = self.pair_size_bytes - 8
         node = (btree_block_bytes(value_slot) if family == "btree"
-                else tower_block_bytes(1, value_slot))
+                else tower_block_bytes(MAX_LEVEL, value_slot))
         if node > self.page_size_bytes:
             raise ConfigError(
                 f"a {node}-byte {family} node cannot fit a "
@@ -168,7 +168,6 @@ class BenchReport:
     placement_stats: SwapStats
     links: LinkComposition
     measurement_stats: SwapStats
-    wall_time_s: float
 
 
 def _streams(seed: int):
@@ -322,12 +321,10 @@ def run_queries(container, script: list[QueryOp]) -> None:
 
 
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
-    t0 = time.perf_counter()
     container, space = build_placement(cfg)
     placement_stats = space.stats()
     links = link_composition(container)
     space.evict_all()
     space.reset_stats()
     run_queries(container, query_script(cfg))
-    return BenchReport(cfg, placement_stats, links, space.stats(),
-                       time.perf_counter() - t0)
+    return BenchReport(cfg, placement_stats, links, space.stats())

@@ -154,6 +154,19 @@ def btree_root(tree) -> int:
     return roots[0]
 
 
+def btree_height(tree) -> int:
+    """Levels of a B-tree (0 when empty), from the parent-child edges."""
+    if not tree.node_handles():
+        return 0
+    return max(tree_depths(tree).values()) + 1
+
+
+def owned_pages(alloc, ref) -> list[int]:
+    """Pages a collective allocator's sub-allocator ``ref`` owns, from its
+    page ownership map."""
+    return sorted(p for p, owner in alloc.page_owner_map().items() if owner == ref)
+
+
 def skiplist_chain(slist) -> list[int]:
     """Node handles in key order.  Reaches into the level-0 chain because the
     public surface exposes keys and links but not their association."""

@@ -11,7 +11,8 @@ from farloc.collective import (CollectiveAllocator, HintAllocator, Kind,
                                ObjectLayout)
 from farloc.containers import OCCUPANCY_LIMIT, BTree, BTreeVariant
 from farloc.farmem import ConfigError, Space, SpaceConfig, UsageError
-from reference_models import btree_root, grouped, tree_depths
+from reference_models import (btree_height, btree_root, grouped, owned_pages,
+                              tree_depths)
 
 NODE = 712
 
@@ -44,8 +45,6 @@ def test_config_errors():
     space = Space(SpaceConfig(4096, 0, 4))
     alloc = CollectiveAllocator(space)
     with pytest.raises(ConfigError):
-        BTree(alloc, BTreeVariant.PLAIN, order=2)
-    with pytest.raises(ConfigError):
         BTree(alloc, BTreeVariant.PLAIN, value_slot=0)
     with pytest.raises(ConfigError):
         BTree(alloc, BTreeVariant.HINT)
@@ -63,7 +62,7 @@ def test_node_block_size():
 def test_empty_tree():
     tree = make_tree(BTreeVariant.PLAIN)
     assert len(tree) == 0
-    assert tree.height == 0
+    assert btree_height(tree) == 0
     assert tree.search(1) is None
     assert tree.scan(0, 10) == []
     assert tree.items() == []
@@ -75,7 +74,7 @@ def test_filling_the_root_keeps_one_node():
     for k in (3, 1, 4, 2):
         assert tree.insert(k, b"v%d" % k)
         tree.validate()
-    assert tree.height == 1
+    assert btree_height(tree) == 1
     assert tree.node_count == 1
     assert tree.items() == [(1, b"v1"), (2, b"v2"), (3, b"v3"), (4, b"v4")]
 
@@ -84,7 +83,7 @@ def test_fifth_key_splits_the_root_once():
     tree = make_tree(BTreeVariant.PLAIN)
     for k in range(1, 6):
         tree.insert(k, b"v")
-    assert tree.height == 2
+    assert btree_height(tree) == 2
     assert tree.node_count == 3
     assert len(tree) == 5
     root = btree_root(tree)
@@ -272,7 +271,7 @@ def test_dfs_sibling_lands_on_the_parents_page():
         tree.insert(k, b"v")
     ref = alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
     root = relocate(tree, btree_root(tree), ref)
-    page = alloc.suballocator_page(ref)
+    page, = owned_pages(alloc, ref)
     assert tree.space.page_of(root) == page
     before = set(tree.node_handles())
     for k in range(6, 9):
@@ -289,8 +288,7 @@ def test_dfs_sibling_falls_back_to_plain_when_the_parents_page_is_full():
         tree.insert(k, b"v")
     ref = alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
     root = relocate(tree, btree_root(tree), ref)
-    filler = 4096 - tree.space.page_allocated_bytes(
-        alloc.suballocator_page(ref))
+    filler = 4096 - tree.space.page_allocated_bytes(*owned_pages(alloc, ref))
     alloc.sub_allocate(ref, 1, ObjectLayout(filler, 8))
     before = set(tree.node_handles())
     for k in range(6, 9):
@@ -351,7 +349,7 @@ def test_relocate_to_page_places_on_that_page():
         tree.insert(k, b"v")
     ref = tree._alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
     h = relocate(tree, tree.node_handles()[3], ref)
-    assert tree.space.page_of(h) == tree._alloc.suballocator_page(ref)
+    assert [tree.space.page_of(h)] == owned_pages(tree._alloc, ref)
     tree.validate()
 
 
@@ -460,14 +458,14 @@ def test_dfs_rearrangement_is_idempotent_in_shape():
 def test_veb_rearrangement_moves_upper_clusters_first():
     tree = make_tree(BTreeVariant.VEB)
     k = 0
-    while tree.height < 4:
+    while btree_height(tree) < 4:
         k += 1
         tree.insert(k, b"v")
     created = tree.make_page_aware()
     tree.validate()
     depths = tree_depths(tree)
-    page_rank = {tree._alloc.suballocator_page(ref): i
-                 for i, ref in enumerate(created)}
+    page_of_ref = {ref: page for page, ref in tree._alloc.page_owner_map().items()}
+    page_rank = {page_of_ref[ref]: i for i, ref in enumerate(created)}
     rank = {h: page_rank[tree.space.page_of(h)]
             for h in tree.node_handles()}
     top = max(rank[h] for h, d in depths.items() if d <= 1)
@@ -489,15 +487,14 @@ def test_hint_rearrangement_recycles_holes_and_stays_scattered():
         v = rng.randbytes(6)
         tree.insert(k, v)
         ref.setdefault(k, v)
-    halloc = tree._halloc
     space = tree.space
-    pages_before = len(halloc.pages)
-    roomy = [p for p in halloc.pages
+    pages_before = space.num_pages
+    roomy = [p for p in range(space.num_pages)
              if 4096 - space.page_allocated_bytes(p) >= NODE]
     assert tree.make_page_aware() == []
     tree.validate()
     assert tree.items() == sorted(ref.items())
-    assert len(halloc.pages) <= pages_before + 1
+    assert space.num_pages <= pages_before + 1
     children = {}
     for p, c in tree.structural_links():
         children.setdefault(p, []).append(c)

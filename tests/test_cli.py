@@ -4,6 +4,7 @@ End-to-end runs use a 160 kB data size (1000 pairs) so a full sweep cell
 finishes in well under a second.
 """
 import csv
+import errno
 import re
 
 import pytest
@@ -165,6 +166,8 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
             (["--variant", "plain", "--page-size", "512"], "1"),
             (["--variant", "skip-plain", "--value-size", "300",
               "--page-size", "256"], "1"),
+            # a level-1 tower fits, the tallest drawable one does not
+            (["--variant", "skip-plain", "--page-size", "256"], "1"),
             # the skip list's nodes fit, the B-tree's do not
             (["--variant", "skip-plain", "--variant", "plain",
               "--page-size", "512"], "1"),
@@ -188,15 +191,31 @@ def test_bad_output_paths_fail_before_any_build(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "run_benchmark", no_build)
     (tmp_path / "r_links.csv").mkdir()
+    # symlinks into a directory that does not exist: writing would follow them
+    (tmp_path / "dangling.csv").symlink_to(tmp_path / "missing" / "x.csv")
+    (tmp_path / "s_links.csv").symlink_to(tmp_path / "missing" / "y.csv")
     for out, report in [(tmp_path / "missing" / "r.csv", "swaps"),
                         (tmp_path / "missing" / "r.csv", "links"),
                         (tmp_path, "swaps"),
+                        (tmp_path / "dangling.csv", "swaps"),
                         # the swaps path is fine, its links companion is not
-                        (tmp_path / "r.csv", "both")]:
+                        (tmp_path / "r.csv", "both"),
+                        (tmp_path / "s.csv", "both")]:
         rc = main(TINY + ["--report", report, "--out", str(out)])
         assert rc == 1, (out, report)
         assert capsys.readouterr().err.startswith("error:"), (out, report)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["r_links.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dangling.csv", "r_links.csv", "s_links.csv"]
+
+
+def test_a_failed_write_ends_in_error_exit_1(tmp_path, capsys, monkeypatch):
+    def full_disk(reports, out):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "emit_links_csv", full_disk)
+    rc = main(TINY + ["--report", "both", "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cannot write the output")
 
 
 def test_thread_fanout_matches_serial(tmp_path, monkeypatch):

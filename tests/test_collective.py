@@ -11,6 +11,7 @@ from farloc.collective import (
     SubAllocatorRef,
 )
 from farloc.farmem import CapacityExhausted, Space, SpaceConfig, UsageError
+from reference_models import owned_pages
 
 L16 = ObjectLayout(16, 8)
 L160 = ObjectLayout(160, 8)
@@ -35,8 +36,8 @@ def test_new_per_page_refs_are_distinct_and_own_distinct_pages(alloc):
     a = alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
     b = alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
     assert a != b
-    assert alloc.suballocator_page(a) != alloc.suballocator_page(b)
-    assert alloc.pages_of(a) != alloc.pages_of(b)
+    assert len(owned_pages(alloc, a)) == len(owned_pages(alloc, b)) == 1
+    assert owned_pages(alloc, a) != owned_pages(alloc, b)
 
 
 def test_refs_work_as_dict_keys(alloc):
@@ -45,13 +46,12 @@ def test_refs_work_as_dict_keys(alloc):
     assert d[SubAllocatorRef(a.kind, a.id)] == 3
 
 
-def test_suballocator_page_only_for_per_page_refs(alloc):
+def test_a_per_page_ref_owns_the_page_its_blocks_land_on(alloc):
     ref = alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
-    assert alloc.suballocator_page(ref) == alloc.space.page_of(
-        alloc.sub_allocate(ref, 1, L16))
-    for bad in (alloc.purely_local, alloc.swappable_plain):
-        with pytest.raises(UsageError):
-            alloc.suballocator_page(bad)
+    assert owned_pages(alloc, ref) == [alloc.space.page_of(
+        alloc.sub_allocate(ref, 1, L16))]
+    alloc.sub_allocate(alloc.purely_local, 1, L16)
+    assert owned_pages(alloc, alloc.purely_local) == []
 
 
 # -- handle -> sub-allocator lookup --------------------------------------
@@ -95,7 +95,7 @@ def test_unknown_handle_is_rejected(alloc):
 
 def test_per_page_capacity_is_one_page(alloc):
     ref = alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
-    page = alloc.suballocator_page(ref)
+    page, = owned_pages(alloc, ref)
     for _ in range(8):
         h = alloc.sub_allocate(ref, 1, L512)
         assert alloc.space.page_of(h) == page
@@ -131,15 +131,22 @@ def test_count_scales_the_block(alloc):
     alloc.deallocate(h, 3, L16)
 
 
-def test_allocation_argument_errors(alloc):
-    with pytest.raises(UsageError):
-        alloc.sub_allocate(alloc.swappable_plain, 0, L16)
-    with pytest.raises(UsageError):
-        alloc.sub_allocate(alloc.swappable_plain, 1, ObjectLayout(0, 8))
-    with pytest.raises(UsageError):
-        alloc.sub_allocate(alloc.swappable_plain, 1, ObjectLayout(16, 3))
-    with pytest.raises(UsageError):
-        alloc.sub_allocate(SubAllocatorRef(Kind.NEW_PER_PAGE, 999), 1, L16)
+def test_unknown_refs_are_rejected_and_equal_refs_accepted(alloc):
+    stray = SubAllocatorRef(Kind.NEW_PER_PAGE, 999)
+    for call in (lambda: alloc.sub_allocate(stray, 1, L16),
+                 lambda: alloc.allocated_bytes(stray),
+                 lambda: alloc.occupancy(stray),
+                 lambda: alloc.allocated_bytes(SubAllocatorRef(Kind.PURELY_LOCAL, 1))):
+        with pytest.raises(UsageError):
+            call()
+    # a ref equal to one the allocator handed out names the same sub-allocator
+    ref = alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
+    for twin in (SubAllocatorRef(ref.kind, ref.id),
+                 SubAllocatorRef(Kind.PURELY_LOCAL, 0),
+                 SubAllocatorRef(Kind.SWAPPABLE_PLAIN, 0)):
+        h = alloc.sub_allocate(twin, 1, L16)
+        assert alloc.get_suballocator_by_handle(h) == twin
+        assert alloc.allocated_bytes(twin) == 16
 
 
 def test_deallocate_restores_occupancy_and_reuses_the_slot(alloc):
@@ -169,7 +176,7 @@ def test_emptied_pages_stay_owned_and_get_reused(alloc):
     assert alloc.space.num_pages == 1
     for h in handles:
         alloc.deallocate(h, 1, L512)
-    assert alloc.pages_of(alloc.swappable_plain) == (0,)
+    assert owned_pages(alloc, alloc.swappable_plain) == [0]
     assert alloc.space.page_of(
         alloc.sub_allocate(alloc.swappable_plain, 1, L512)) == 0
     assert alloc.space.num_pages == 1
@@ -178,8 +185,8 @@ def test_emptied_pages_stay_owned_and_get_reused(alloc):
     h = alloc.sub_allocate(ref, 1, L512)
     alloc.deallocate(h, 1, L512)
     assert alloc.occupancy(ref) == 0.0
-    assert alloc.space.page_of(alloc.sub_allocate(ref, 1, L512)) == \
-        alloc.suballocator_page(ref)
+    assert [alloc.space.page_of(alloc.sub_allocate(ref, 1, L512))] == \
+        owned_pages(alloc, ref)
 
 
 # -- occupancy -----------------------------------------------------------
@@ -264,10 +271,8 @@ def test_every_page_has_exactly_one_owner(alloc):
         alloc.sub_allocate(ref, 1, L16)
     owner = alloc.page_owner_map()
     assert set(owner) == set(range(alloc.space.num_pages))
-    plain_pages = set(alloc.pages_of(alloc.swappable_plain))
-    page_pages = {alloc.suballocator_page(r) for r in per_page}
-    assert plain_pages | page_pages == set(owner)
-    assert not plain_pages & page_pages
+    assert set(owner.values()) == {alloc.swappable_plain, *per_page}
+    assert [len(owned_pages(alloc, r)) for r in per_page] == [1, 1, 1]
 
 
 # -- hint allocator ------------------------------------------------------
@@ -276,7 +281,7 @@ def test_first_hintless_allocation_opens_a_fresh_page(make_space):
     halloc = HintAllocator(make_space())
     h = halloc.allocate(1, L512)
     assert halloc.space.page_of(h) == 0
-    assert halloc.pages == (0,)
+    assert halloc.space.num_pages == 1
 
 
 def test_hint_collocates_when_the_page_has_room(make_space):
@@ -311,14 +316,40 @@ def test_hint_into_full_page_falls_back(make_space):
     assert halloc.space.block_size(h) == 512
 
 
-def test_hint_allocator_errors(make_space):
-    halloc = HintAllocator(make_space())
+# -- request errors, one table for both allocators ----------------------
+
+def _collective(space):
+    alloc = CollectiveAllocator(space)
+    return (lambda count, layout: alloc.sub_allocate(alloc.swappable_plain, count, layout),
+            alloc.deallocate)
+
+
+def _hint(space):
+    halloc = HintAllocator(space)
+    return halloc.allocate, halloc.deallocate
+
+
+ALLOCATORS = {"collective": _collective, "hint": _hint}
+
+BAD_REQUESTS = {
+    "count-0": lambda allocate, deallocate, h: allocate(0, L16),
+    "zero-size": lambda allocate, deallocate, h: allocate(1, ObjectLayout(0, 8)),
+    "bad-align": lambda allocate, deallocate, h: allocate(1, ObjectLayout(16, 3)),
+    "oversize": lambda allocate, deallocate, h: allocate(1, ObjectLayout(4097, 8)),
+    "wrong-size-free": lambda allocate, deallocate, h: deallocate(h, 1, L16),
+    "count-0-free": lambda allocate, deallocate, h: deallocate(h, 0, L512),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_REQUESTS)
+@pytest.mark.parametrize("allocator", ALLOCATORS)
+def test_request_errors(make_space, allocator, bad):
+    space = make_space()
+    allocate, deallocate = ALLOCATORS[allocator](space)
+    h = allocate(1, L512)
     with pytest.raises(UsageError):
-        halloc.allocate(0, L16)
-    with pytest.raises(UsageError):
-        halloc.allocate(1, ObjectLayout(8192, 8))
-    h = halloc.allocate(1, L512)
-    with pytest.raises(UsageError):
-        halloc.deallocate(h, 1, L16)
-    halloc.deallocate(h, 1, L512)
-    assert halloc.space.page_of(halloc.allocate(1, L512)) == 0
+        BAD_REQUESTS[bad](allocate, deallocate, h)
+    # a rejected request changes nothing: no page opened, the block intact
+    assert space.num_pages == 1
+    deallocate(h, 1, L512)
+    assert space.page_of(allocate(1, L512)) == 0

@@ -48,8 +48,6 @@ def test_config_errors():
     with pytest.raises(ConfigError):
         SkipList(alloc, SkipListVariant.PLAIN, max_level=0)
     with pytest.raises(ConfigError):
-        SkipList(alloc, SkipListVariant.PLAIN, p=1.0)
-    with pytest.raises(ConfigError):
         SkipList(alloc, SkipListVariant.PLAIN, value_slot=0)
     with pytest.raises(ConfigError):
         SkipList(alloc, SkipListVariant.HINT)
