@@ -8,12 +8,16 @@ variant x L x alpha x update-ratio and writes CSV:
 
 Cells that share a build key (see ``workload.build_key``: the variant, the
 data, value and page sizes, the seed and the local budget) share one
-placement: the sweep runs inside a ``PlacementReuse`` scope, so the first
-such cell builds it and the others get it back restored to its post-build
-state.  FARLOC_THREADS > 1 fans the groups of cells that share a key out over
-a process pool of at most one worker per group and per CPU, each worker with
-its own scope.  Row order always follows the sweep order, not completion
-order.  The output paths and every cell are checked before the first build.
+placement.  The sweep groups its cells by key, and these groups are the
+whole plan: each group runs in its own ``PlacementReuse`` scope, so its first
+cell builds the placement and the others get it back restored to its
+post-build state.  With one worker the groups run one after another in this
+process; FARLOC_THREADS > 1 maps them over a process pool of at most one
+worker per group and per CPU.  Either way rows come back in sweep order.
+When a key's cells are not contiguous in the sweep (a repeated
+``--l-percent``), they still run together, so the cells run in group order,
+not sweep order.  The output paths and every cell are checked before the
+first build.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -107,16 +112,17 @@ def parse_args(argv=None) -> tuple[SweepSpec, str, str]:
 
 
 def _run_cells(cells: list[BenchConfig]) -> list[BenchReport]:
-    """One report per cell, in order, with placements reused between cells
-    that share a build key."""
-    with PlacementReuse(cells):
+    """One report per cell, in order, inside one reuse scope: cells that
+    share a build key and follow one another share one placement."""
+    with PlacementReuse():
         return [run_benchmark(cell) for cell in cells]
 
 
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[BenchReport]:
-    """One report per cell, in sweep order.  threads=None reads
-    FARLOC_THREADS (default 1); more than one worker uses a process pool
-    that runs each group of cells sharing a build key in one worker.  The
+    """One report per cell, in sweep order.  The cells are grouped by build
+    key and each group runs in one reuse scope, so each key is built once.
+    threads=None reads FARLOC_THREADS (default 1); one worker runs the
+    groups in turn in this process, more map them over a process pool.  The
     pool starts all its workers at once under fork, so it never gets more
     workers than groups or CPUs.  Every cell is validated first."""
     cells = spec.cells()
@@ -132,11 +138,11 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[BenchReport]:
     for i, cell in enumerate(cells):
         groups.setdefault(build_key(cell), []).append(i)
     workers = min(threads, len(groups), os.cpu_count() or 1)
-    if workers <= 1:
-        return _run_cells(cells)
     reports: list[BenchReport] = [None] * len(cells)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        batches = pool.map(_run_cells, [[cells[i] for i in g] for g in groups.values()])
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        batches = (pool.map if pool else map)(
+            _run_cells, [[cells[i] for i in g] for g in groups.values()])
         for group, batch in zip(groups.values(), batches):
             for i, report in zip(group, batch):
                 reports[i] = report

@@ -93,9 +93,9 @@ class _PagePool:
 
     A flat max-segment tree over per-page largest extents replaces the
     linear creation-order scan with an O(log n) leftmost-fit descent; every
-    carve or free refreshes one leaf-to-root path.  Hinted carves bypass
-    ``allocate`` entirely, so their callers report them via ``note_carve``
-    to keep the affected leaf exact.
+    carve or free refreshes one leaf-to-root path.  Frees and hinted carves
+    bypass ``allocate``, so their callers report each owned page they
+    change via ``refresh`` to keep its leaf exact.
     """
 
     __slots__ = ("_space", "_pages", "_pos", "_cap", "_tree", "_on_new_page")
@@ -139,15 +139,12 @@ class _PagePool:
             t[i] = left if left >= right else right
         self._tree = t
 
-    def _resync(self, page: PageId) -> None:
+    def __contains__(self, page: PageId | None) -> bool:
+        return page in self._pos
+
+    def refresh(self, page: PageId) -> None:
+        """Re-read the largest free extent of owned ``page``."""
         self._set(self._pos[page], self._space.page_max_free(page))
-
-    def note_free(self, page: PageId) -> None:
-        self._resync(page)
-
-    def note_carve(self, page: PageId) -> None:
-        if page in self._pos:
-            self._resync(page)
 
     def allocate(self, size: int, align: int) -> Handle:
         space = self._space
@@ -311,7 +308,7 @@ class CollectiveAllocator:
         page = self._space.page_of(handle)
         self._space.free(handle)
         if ref.kind is Kind.SWAPPABLE_PLAIN:
-            self._plain_pool.note_free(page)
+            self._plain_pool.refresh(page)
 
     def page_owner_map(self) -> dict[PageId, SubAllocatorRef]:
         return dict(self._page_owner)
@@ -320,9 +317,10 @@ class CollectiveAllocator:
 class HintAllocator:
     """Baseline allocator whose only placement control is a hint handle.
 
-    With a hint it tries the hinted object's page first; without one, or when
-    that page is full, it falls back to first-fit over the pages in use and
-    opens a new empty page only when none can fit the request.
+    With a hint on one of its pages it tries that page first; without one,
+    with a hint elsewhere, or when that page is full, it falls back to
+    first-fit over its pages and opens a new empty page only when none can
+    fit the request.  It frees only blocks on its own pages.
     """
 
     def __init__(self, space: Space):
@@ -338,19 +336,20 @@ class HintAllocator:
         _check_fits_page(self._space, total)
         if hint:
             page = self._space.page_of(hint)
-            if page is not None:
+            if page in self._pool:
                 try:
                     h = self._space.carve_in_page(page, total, layout.align)
                 except CapacityExhausted:
                     pass
                 else:
-                    self._pool.note_carve(page)
+                    self._pool.refresh(page)
                     return h
         return self._pool.allocate(total, layout.align)
 
     def deallocate(self, handle: Handle, count: int, layout: ObjectLayout) -> None:
+        page = self._space.page_of(handle)   # validates the handle
+        if page not in self._pool:
+            raise UsageError(f"handle {handle:#x} is not managed by this allocator")
         _check_free(self._space, handle, count, layout)
-        page = self._space.page_of(handle)
         self._space.free(handle)
-        if page is not None:
-            self._pool.note_free(page)
+        self._pool.refresh(page)

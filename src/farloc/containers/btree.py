@@ -101,7 +101,9 @@ class BTree(PlacedContainer):
 
     # -- queries ---------------------------------------------------------
 
-    def search(self, key: int) -> bytes | None:
+    def _find(self, key: int):
+        """(handle, node, index) of ``key``, or (0, None, 0) when it is
+        absent; every node of the descent is touched as a read."""
         nodes = self._nodes
         touch = self._space.touch_block
         h = self._root
@@ -111,30 +113,24 @@ class BTree(PlacedContainer):
             keys = node.keys
             i = bisect_right(keys, key)
             if i and keys[i - 1] == key:
-                return node.vals[i - 1]
+                return h, node, i - 1
             if node.leaf:
-                return None
+                break
             h = node.children[i]
-        return None
+        return 0, None, 0
+
+    def search(self, key: int) -> bytes | None:
+        h, node, i = self._find(key)
+        return node.vals[i] if h else None
 
     def update(self, key: int, value: bytes) -> bool:
         self._check_value(value)
-        nodes = self._nodes
-        touch = self._space.touch_block
-        h = self._root
-        while h:
-            node = nodes[h]
-            touch(h, False)
-            keys = node.keys
-            i = bisect_right(keys, key)
-            if i and keys[i - 1] == key:
-                node.vals[i - 1] = value
-                touch(h, True)
-                return True
-            if node.leaf:
-                return False
-            h = node.children[i]
-        return False
+        h, node, i = self._find(key)
+        if not h:
+            return False
+        node.vals[i] = value
+        self._space.touch_block(h, True)
+        return True
 
     def scan(self, key: int, length: int) -> list[tuple[int, bytes]]:
         """Up to ``length`` pairs in ascending key order, starting at ``key``
@@ -230,60 +226,46 @@ class BTree(PlacedContainer):
         return inserted
 
     def _ins_rec(self, h: Handle, key: int, value: bytes):
+        """Insert below ``h``.  Returns (new sibling of ``h`` or 0, the
+        separator pair it pushes up, whether the key was new)."""
         node = self._nodes[h]
         self._space.touch_block(h, False)
         keys = node.keys
         i = bisect_right(keys, key)
         if i and keys[i - 1] == key:
             return 0, None, None, False
-        if node.leaf:
-            if len(keys) < self._max_keys:
-                keys.insert(i, key)
-                node.vals.insert(i, value)
-                self._space.touch_block(h, True)
-                return 0, None, None, True
-            new_h = self._place_sibling(h, ())
-            sep_k, sep_v = self._split_leaf(h, new_h, i, key, value)
-            return new_h, sep_k, sep_v, True
-        baby, sep_k, sep_v, inserted = self._ins_rec(node.children[i], key, value)
-        if not baby:
-            return 0, None, None, inserted
+        # a leaf takes the pair itself; an internal node takes the separator
+        # and the new child that a split below pushes up, if any
+        baby, inserted = 0, True
+        if not node.leaf:
+            baby, key, value, inserted = self._ins_rec(node.children[i], key, value)
+            if not baby:
+                return 0, None, None, inserted
         if len(keys) < self._max_keys:
-            keys.insert(i, sep_k)
-            node.vals.insert(i, sep_v)
-            node.children.insert(i + 1, baby)
+            keys.insert(i, key)
+            node.vals.insert(i, value)
+            if baby:
+                node.children.insert(i + 1, baby)
             self._space.touch_block(h, True)
             return 0, None, None, inserted
         held = [baby]
         new_h = self._place_sibling(h, held)
-        sep2_k, sep2_v = self._split_internal(h, new_h, i, sep_k, sep_v, held[0])
-        return new_h, sep2_k, sep2_v, inserted
+        up_k, up_v = self._split(h, new_h, i, key, value, held[0])
+        return new_h, up_k, up_v, inserted
 
-    def _split_leaf(self, h, new_h, i, key, value):
-        node = self._nodes[h]
-        keys, vals = node.keys, node.vals
-        keys.insert(i, key)
-        vals.insert(i, value)
-        mid = self._max_keys // 2
-        right = _Node(keys[mid + 1:], vals[mid + 1:], [], node.parent, True, self._block)
-        sep_k, sep_v = keys[mid], vals[mid]
-        del keys[mid:]
-        del vals[mid:]
-        self._nodes[new_h] = right
-        self._space.touch_block(h, True)
-        self._space.touch_block(new_h, True)
-        self._splice_after(h, new_h)
-        return sep_k, sep_v
-
-    def _split_internal(self, h, new_h, i, sep_k, sep_v, baby):
+    def _split(self, h, new_h, i, key, value, baby):
+        """Insert the pair at ``i`` of the full node ``h`` (and, in an
+        internal node, the child ``baby`` right of it), move the upper half
+        to ``new_h`` and return the middle pair, which moves up."""
         node = self._nodes[h]
         keys, vals, children = node.keys, node.vals, node.children
-        keys.insert(i, sep_k)
-        vals.insert(i, sep_v)
-        children.insert(i + 1, baby)
+        keys.insert(i, key)
+        vals.insert(i, value)
+        if baby:
+            children.insert(i + 1, baby)
         mid = self._max_keys // 2
         right = _Node(keys[mid + 1:], vals[mid + 1:], children[mid + 1:],
-                      node.parent, False, self._block)
+                      node.parent, node.leaf, self._block)
         up_k, up_v = keys[mid], vals[mid]
         del keys[mid:]
         del vals[mid:]

@@ -31,7 +31,7 @@ import random
 from enum import Enum
 
 from ..collective import ObjectLayout
-from ..farmem import ConfigError, Handle, UsageError
+from ..farmem import Handle, UsageError
 from .placement import PlacedContainer
 
 
@@ -76,22 +76,18 @@ class SkipList(PlacedContainer):
         {SkipListVariant.HINT, SkipListVariant.PAGE, SkipListVariant.LOCAL_PAGE})
 
     def __init__(self, allocator, variant: SkipListVariant, *,
-                 max_level: int = MAX_LEVEL, value_slot: int = 152,
-                 level_seed: int = 0):
-        if max_level < 1:
-            raise ConfigError(f"max_level must be >= 1, got {max_level}")
+                 value_slot: int = 152, level_seed: int = 0):
         super().__init__(allocator, variant, value_slot)
-        self._max_level = max_level
         self._base = tower_block_bytes(0, value_slot)
-        for lvl in range(1, max_level + 1):
+        for lvl in range(1, MAX_LEVEL + 1):
             size = self._base + 8 * lvl
             self._layouts[size] = ObjectLayout(size, 8)
         self._rng = random.Random(level_seed)
-        self._head: list[Handle] = [0] * max_level
+        self._head: list[Handle] = [0] * MAX_LEVEL
         self._levels = 0
         # _tails[lvl] = last priority-list node of level >= lvl, the splice
         # point for a new node of that level
-        self._tails: list[Handle] = [0] * (max_level + 1)
+        self._tails: list[Handle] = [0] * (MAX_LEVEL + 1)
 
     # -- basic properties ------------------------------------------------
 
@@ -100,11 +96,11 @@ class SkipList(PlacedContainer):
 
     @property
     def max_block_bytes(self) -> int:
-        return self._base + 8 * self._max_level
+        return self._base + 8 * MAX_LEVEL
 
     def _draw_level(self) -> int:
         lvl = 1
-        while lvl < self._max_level and self._rng.random() < LEVEL_P:
+        while lvl < MAX_LEVEL and self._rng.random() < LEVEL_P:
             lvl += 1
         return lvl
 
@@ -114,7 +110,7 @@ class SkipList(PlacedContainer):
         """Predecessor handles per level (0 = head tower) and the handle of
         the first node with key >= the target, already touched."""
         nodes = self._nodes
-        update = [0] * self._max_level
+        update = [0] * MAX_LEVEL
         # the descent only reads, so its touches are accounted in one batch
         seen = []
         cur = 0
@@ -247,7 +243,7 @@ class SkipList(PlacedContainer):
         variant onto the previous node's page; returns the per-page
         sub-allocators created (empty for hint)."""
         dest = self._destinations()
-        last_seen = [0] * self._max_level
+        last_seen = [0] * MAX_LEVEL
         touch = self._space.touch_block
         h = self._head[0]
         while h:
@@ -306,7 +302,7 @@ class SkipList(PlacedContainer):
             prev_key = n.key
             h = n.forwards[0]
         assert len(seq) == len(nodes) == self._size
-        for i in range(self._max_level):
+        for i in range(MAX_LEVEL):
             expect = [x for x in seq if nodes[x].level > i]
             got = []
             h = self._head[i]
@@ -322,6 +318,6 @@ class SkipList(PlacedContainer):
         levels = [nodes[x].level for x in plist]
         assert levels == sorted(levels, reverse=True), \
             "priority list must be ordered by non-increasing level"
-        for lvl in range(1, self._max_level + 1):
+        for lvl in range(1, MAX_LEVEL + 1):
             tall = [x for x in plist if nodes[x].level >= lvl]
             assert self._tails[lvl] == (tall[-1] if tall else 0)

@@ -17,13 +17,14 @@ that changing the update ratio alters neither the query keys nor the scan
 lengths, keeping variants and update mixes comparable cell by cell.
 
 Placement reads none of the skew, the update mix or the query count, so
-within a :class:`PlacementReuse` scope the cells that differ only in those
-share one build.
+cells that differ only in those have one build key (:func:`build_key`).  A
+:class:`PlacementReuse` scope holds the placement of its last build and
+gives it back, restored, to the next call with the same key; the caller
+decides the order of the calls, and so which of them share a build.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -32,12 +33,16 @@ import numpy as np
 from .collective import CollectiveAllocator, HintAllocator
 from .containers import (BTree, BTreeVariant, SkipList, SkipListVariant,
                          btree_block_bytes, tower_block_bytes)
+from .containers.btree import ORDER
 from .containers.skiplist import MAX_LEVEL
 from .farmem import ConfigError, Space, SpaceConfig, SwapStats
 from .metrics import LinkComposition, link_composition
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
+
+# a scan asks for 1 to SCAN_LEN_MAX pairs, drawn uniformly
+SCAN_LEN_MAX = 100
 
 
 def fnv64_batch(values) -> np.ndarray:
@@ -102,7 +107,6 @@ class BenchConfig:
     alpha: float = 0.8
     update_ratio: float = 0.05
     num_queries: int = 2000
-    scan_len_max: int = 100
     page_size_bytes: int = 4096
     seed: int = 0
 
@@ -120,14 +124,18 @@ class BenchConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.value_size_bytes < 1:
             raise ConfigError(f"value size must be positive, got {self.value_size_bytes}")
-        if self.num_pairs < 1:
+        # every cell takes a link census, and a container needs links: a
+        # B-tree more than one node, a skip list more than one tower
+        family = VARIANTS[self.variant][0]
+        least = ORDER if family == "btree" else 2
+        if self.num_pairs < least:
             raise ConfigError(
-                f"{self.total_data_bytes} data bytes hold no "
-                f"{self.pair_size_bytes}-byte pair")
+                f"{self.total_data_bytes} data bytes hold {self.num_pairs} "
+                f"{self.pair_size_bytes}-byte pairs; a {family} needs at "
+                f"least {least}")
         SpaceConfig(self.page_size_bytes).validate()
         # the largest node a build can carve must fit one page: every
         # B-tree node, and a skip-list tower of the tallest drawable level
-        family = VARIANTS[self.variant][0]
         value_slot = self.pair_size_bytes - 8
         node = (btree_block_bytes(value_slot) if family == "btree"
                 else tower_block_bytes(MAX_LEVEL, value_slot))
@@ -148,8 +156,6 @@ class BenchConfig:
             raise ConfigError(f"update ratio must be in [0, 1], got {self.update_ratio}")
         if self.num_queries < 0:
             raise ConfigError(f"query count must be >= 0, got {self.num_queries}")
-        if self.scan_len_max < 1:
-            raise ConfigError(f"max scan length must be >= 1, got {self.scan_len_max}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -199,22 +205,21 @@ def build_key(cfg: BenchConfig) -> tuple:
 
 
 class PlacementReuse:
-    """Sweep-scoped reuse of placements, opened as a context manager over
-    the cells that will be run.
+    """A scope, opened as a context manager, that holds one placement.
 
-    Inside the scope, :func:`build_placement` builds the first cell of each
-    key as usual and keeps the result only when a later cell has the same
-    key.  Each later cell gets the same container and space back, restored
-    to their post-build state: every stored value, the cache order, the
-    dirty bits and the counters.  Replay changes nothing else, because an
-    update rewrites a value in place and a scan only reads.  A placement is
-    dropped when its key's last cell takes it, so the table holds only what
-    later cells still need.
+    Inside the scope, :func:`build_placement` keeps the placement it built
+    last.  A call with the same build key gets the same container and space
+    back, restored to their post-build state: every stored value, the cache
+    order, the dirty bits and the counters.  Replay changes nothing else,
+    because an update rewrites a value in place and a scan only reads.  A
+    call with another key drops the held placement and builds.  Reuse is
+    correct in any call order; a caller gets one build per key by making
+    each key's calls together.
     """
 
-    def __init__(self, cells):
-        self._left = Counter(build_key(c) for c in cells)
-        self._kept: dict[tuple, tuple] = {}
+    def __init__(self):
+        self._key = None
+        self._held = None
         self._token = None
 
     def __enter__(self) -> PlacementReuse:
@@ -223,23 +228,19 @@ class PlacementReuse:
 
     def __exit__(self, *exc) -> None:
         _active_reuse.reset(self._token)
-        self._kept.clear()
+        self._key = self._held = None
 
     def placement(self, cfg: BenchConfig):
         key = build_key(cfg)
-        later = self._left.pop(key, 0) - 1
-        if later > 0:
-            self._left[key] = later
-            kept = self._kept.get(key)
-        else:
-            kept = self._kept.pop(key, None)
-        if kept is None:
+        if key != self._key:
+            # drop the held placement first: the scope never holds two
+            self._key = self._held = None
             container, space = _build(cfg)
-            if later > 0:
-                self._kept[key] = (container, space, container.save_values(),
-                                   space.residency(), space.stats())
+            self._held = (container, space, container.save_values(),
+                          space.residency(), space.stats())
+            self._key = key
             return container, space
-        container, space, values, residency, stats = kept
+        container, space, values, residency, stats = self._held
         container.restore_values(values)
         space.restore(residency, stats)
         return container, space
@@ -252,8 +253,9 @@ _active_reuse: ContextVar[PlacementReuse | None] = ContextVar(
 def build_placement(cfg: BenchConfig):
     """Placement phase: a fresh space and container, all pairs inserted and
     the batch rearrangement run when the variant has one.  Returns
-    (container, space).  Inside a :class:`PlacementReuse` scope, a cell
-    whose key an earlier cell built gets that placement back instead."""
+    (container, space).  Inside a :class:`PlacementReuse` scope, a call
+    with the key of the scope's last build gets that placement back
+    instead."""
     cfg.validate()
     reuse = _active_reuse.get()
     if reuse is None:
@@ -296,7 +298,7 @@ def query_script(cfg: BenchConfig) -> list[QueryOp]:
     keys = fnv64_batch((ranks - 1).astype(np.uint64))
     mix_rng = np.random.default_rng(mix_seed)
     is_update = mix_rng.random(nq) < cfg.update_ratio
-    lengths = mix_rng.integers(1, cfg.scan_len_max + 1, size=nq)
+    lengths = mix_rng.integers(1, SCAN_LEN_MAX + 1, size=nq)
     vs = cfg.value_size_bytes
     upd_buf = np.random.default_rng(upd_seed).integers(
         0, 256, size=int(is_update.sum()) * vs, dtype=np.uint8).tobytes()

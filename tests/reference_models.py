@@ -178,7 +178,7 @@ def skiplist_chain(slist) -> list[int]:
     return out
 
 
-def draw_skiplist_levels(seed: int, p: float, max_level: int, count: int) -> list[int]:
+def draw_skiplist_levels(seed: int, p: float, tallest: int, count: int) -> list[int]:
     """Replay of the list's geometric level draws for a given seed."""
     import random
 
@@ -186,7 +186,7 @@ def draw_skiplist_levels(seed: int, p: float, max_level: int, count: int) -> lis
     levels = []
     for _ in range(count):
         lvl = 1
-        while lvl < max_level and rng.random() < p:
+        while lvl < tallest and rng.random() < p:
             lvl += 1
         levels.append(lvl)
     return levels

@@ -172,6 +172,10 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
             (["--variant", "skip-plain", "--variant", "plain",
               "--page-size", "512"], "1"),
             (["--seed", "-1"], "1"),
+            # 4 pairs fill one B-tree node, which has no links to census
+            (["--data-bytes", "640"], "1"),
+            (["--variant", "skip-plain", "--variant", "plain",
+              "--data-bytes", "640"], "1"),
             # plain fits, local's purely-local half does not
             (["--variant", "plain", "--variant", "local",
               "--l-percent", "1e15"], "1"),

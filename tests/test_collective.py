@@ -353,3 +353,28 @@ def test_request_errors(make_space, allocator, bad):
     assert space.num_pages == 1
     deallocate(h, 1, L512)
     assert space.page_of(allocate(1, L512)) == 0
+
+
+# blocks the hint allocator did not carve: on a page it does not own, and in
+# the purely-local region
+FOREIGN_BLOCKS = {
+    "foreign-page": lambda space: space.carve_in_page(space.create_page(), 64),
+    "purely-local": lambda space: space.carve_purely_local(64),
+}
+
+
+@pytest.mark.parametrize("where", FOREIGN_BLOCKS)
+def test_hint_allocator_keeps_to_its_own_pages(make_space, where):
+    space = make_space(local_capacity=4096, cache_pages=4)
+    halloc = HintAllocator(space)
+    foreign = FOREIGN_BLOCKS[where](space)
+    layout = ObjectLayout(64, 8)
+    # a hint off the allocator's pages is not followed: first fit opens one
+    h = halloc.allocate(1, layout, hint=foreign)
+    assert space.page_of(h) not in (None, space.page_of(foreign))
+    # a free of a block off its pages fails before it frees anything
+    with pytest.raises(UsageError):
+        halloc.deallocate(foreign, 1, layout)
+    assert space.block_size(foreign) == 64
+    assert space.block_size(h) == 64
+    halloc.deallocate(h, 1, layout)

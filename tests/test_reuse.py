@@ -1,17 +1,21 @@
-"""Sweep-scoped placement reuse.
+"""Placement reuse within a sweep.
 
-Inside a ``PlacementReuse`` scope, cells that share a build key share one
-placement, restored to its post-build state for each later cell.  Every
-test here compares against the unscoped path, which builds afresh for every
-call, so reuse must be invisible in everything a cell reports.
+A ``PlacementReuse`` scope holds one placement: a call with the key of its
+last build gets that placement back, restored to its post-build state, and
+a call with another key builds afresh.  The sweep runs each group of cells
+that share a build key in one scope.  Every test here compares against the
+unscoped path, which builds afresh for every call, so reuse must be
+invisible in everything a cell reports.
 """
+import gc
 import hashlib
 import struct
+import weakref
 from dataclasses import replace
 
 import pytest
 
-from farloc import workload
+from farloc import cli, workload
 from farloc.farmem import UsageError
 from farloc.workload import (VARIANTS, BenchConfig, PlacementReuse,
                              build_key, build_placement, query_script,
@@ -31,7 +35,7 @@ def grid(variant, l_percents=(25.0,)):
 def test_scoped_sweep_reports_equal_per_cell_runs(variant):
     cells = grid(variant)
     fresh = [run_benchmark(c) for c in cells]
-    with PlacementReuse(cells):
+    with PlacementReuse():
         reused = [run_benchmark(c) for c in cells]
     assert reused == fresh
 
@@ -64,65 +68,61 @@ def test_reused_replay_touches_the_pages_a_fresh_build_does(variant, monkeypatch
     for c in cells:
         run_benchmark(c)
     fresh, replays[:] = list(replays), []
-    with PlacementReuse(cells):
+    with PlacementReuse():
         for c in cells:
             run_benchmark(c)
     assert replays == fresh
     assert len(set(fresh)) == len(cells)   # the cells do differ
 
 
-def test_one_build_per_key_and_nothing_held_past_its_last_cell(monkeypatch):
-    builds = []
-    real_build = workload._build
-
-    def counting_build(cfg):
-        builds.append(build_key(cfg))
-        return real_build(cfg)
-
-    monkeypatch.setattr(workload, "_build", counting_build)
-    # two keys per variant (L 10 and 50), four cells per key
-    cells = grid("dfs", (10.0, 50.0)) + grid("skip-page", (10.0, 50.0))
-    held = []
-    with PlacementReuse(cells) as reuse:
-        for c in cells:
-            run_benchmark(c)
-            held.append(len(reuse._kept))
-    assert builds == list(dict.fromkeys(build_key(c) for c in cells))
-    assert len(builds) == 4
-    assert held == [1, 1, 1, 0] * 4
-    # interleaved keys: each placement is held until its own last cell
-    a, b = grid("plain")[0], grid("plain", (50.0,))[0]
-    builds.clear()
-    held.clear()
-    with PlacementReuse([a, b, a, b]) as reuse:
-        for c in (a, b, a, b):
-            build_placement(c)
-            held.append(len(reuse._kept))
-    assert builds == [build_key(a), build_key(b)]
-    assert held == [1, 2, 1, 0]
-
-
-def test_cells_outside_the_plan_build_afresh(monkeypatch):
+def test_one_build_per_run_of_a_key_and_nothing_held_past_the_scope(monkeypatch):
     builds = []
     real_build = workload._build
     monkeypatch.setattr(workload, "_build",
-                        lambda cfg: builds.append(cfg) or real_build(cfg))
-    cell = grid("hint")[0]
-    with PlacementReuse([cell]) as reuse:
-        build_placement(cell)
-        build_placement(cell)          # more calls than the plan names
-        build_placement(replace(cell, l_percent=50.0))
-        assert not reuse._kept
-    assert len(builds) == 3
+                        lambda cfg: builds.append(build_key(cfg)) or real_build(cfg))
+    a, b = grid("plain")[0], grid("plain", (50.0,))[0]
+    with PlacementReuse() as reuse:
+        for c in (a, a, b, b, a):
+            build_placement(c)
+            assert reuse._key == build_key(c)
+    # a new key drops the held placement; coming back to a key rebuilds it
+    assert builds == [build_key(c) for c in (a, b, a)]
+    assert reuse._held is None
     # with no scope open, every call builds
-    build_placement(cell)
-    assert len(builds) == 4
+    build_placement(a)
+    build_placement(a)
+    assert len(builds) == 5
+
+
+def test_serial_sweep_builds_each_key_once_and_holds_one_placement(monkeypatch):
+    # the third L repeats the first: its key's cells are not contiguous
+    spec = cli.SweepSpec(("plain", "local"), (10.0, 50.0, 10.0), (0.8,),
+                         (0.05, 0.5), BASE)
+    cells = spec.cells()
+    fresh = [run_benchmark(c) for c in cells]
+    pooled = cli.run_sweep(spec, threads=2)
+    built = []          # (build key, weak reference to its container)
+    real_build = workload._build
+
+    def spying_build(cfg):
+        gc.collect()
+        assert all(ref() is None for _, ref in built), "two placements held"
+        container, space = real_build(cfg)
+        built.append((build_key(cfg), weakref.ref(container)))
+        return container, space
+
+    monkeypatch.setattr(workload, "_build", spying_build)
+    serial = cli.run_sweep(spec, threads=1)
+    assert [k for k, _ in built] == list(dict.fromkeys(map(build_key, cells)))
+    assert len(built) == 4
+    assert [r.config for r in serial] == cells
+    assert serial == pooled == fresh
 
 
 def test_build_key_holds_what_a_build_reads():
     cfg = grid("local")[0]
     assert build_key(cfg) == build_key(replace(cfg, alpha=2.0, update_ratio=1.0,
-                                               num_queries=7, scan_len_max=3))
+                                               num_queries=7))
     for change in (dict(variant="plain"), dict(total_data_bytes=32 * 1024),
                    dict(value_size_bytes=64), dict(page_size_bytes=8192),
                    dict(seed=3), dict(l_percent=50.0)):
@@ -138,7 +138,7 @@ def snapshot(container, space):
 def test_restore_gives_back_the_post_build_state(variant):
     cell = replace(BASE, variant=variant, update_ratio=1.0)
     want = snapshot(*build_placement(cell))
-    with PlacementReuse([cell, cell]):
+    with PlacementReuse():
         container, space = build_placement(cell)
         space.evict_all()
         space.reset_stats()

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from farloc.collective import CollectiveAllocator, HintAllocator, ObjectLayout
-from farloc.containers import OCCUPANCY_LIMIT, SkipList, SkipListVariant
+from farloc.containers import OCCUPANCY_LIMIT, SkipList, SkipListVariant, skiplist
 from farloc.farmem import ConfigError, Space, SpaceConfig, UsageError
 from reference_models import draw_skiplist_levels, grouped, skiplist_chain
 
@@ -45,8 +45,6 @@ def pl_handles(slist):
 def test_config_errors():
     space = Space(SpaceConfig(4096, 0, 4))
     alloc = CollectiveAllocator(space)
-    with pytest.raises(ConfigError):
-        SkipList(alloc, SkipListVariant.PLAIN, max_level=0)
     with pytest.raises(ConfigError):
         SkipList(alloc, SkipListVariant.PLAIN, value_slot=0)
     with pytest.raises(ConfigError):
@@ -286,11 +284,12 @@ def test_growth_never_breaks_the_local_prefix():
 
 # -- hint placement ------------------------------------------------------
 
-def test_hint_follows_the_key_order_predecessor():
-    # max_level=1 makes every block 192 bytes and removes level randomness
+def test_hint_follows_the_key_order_predecessor(monkeypatch):
+    # towers of level 1 only: every block is 192 bytes, no level randomness
+    monkeypatch.setattr(skiplist, "LEVEL_P", 0)
     space = Space(SpaceConfig(4096, 0, 32))
     halloc = HintAllocator(space)
-    slist = SkipList(halloc, SkipListVariant.HINT, max_level=1)
+    slist = SkipList(halloc, SkipListVariant.HINT)
     for k in range(11):
         slist.insert(k, b"v")               # 11 * 192 bytes, all on page 0
     filler = halloc.allocate(1, ObjectLayout(4096 - 11 * 192, 8))

@@ -1,10 +1,11 @@
 """Pinned page traffic of every variant on one small config.
 
 Every swap statistic, CSV row and acceptance verdict follows from the
-sequence of ``(page, is_write)`` page touches a container makes.  This test
-pins that sequence, through build and replay, as a count and a SHA-256, so a
-change meant to speed up the touch path or the containers without changing
-what they touch shows here first when it does change it.
+sequence of ``(page, is_write)`` page touches a container makes.  These
+tests pin that sequence, through build and replay and through point
+searches after the build, as a count and a SHA-256, so a change meant to
+speed up the touch path or the containers without changing what they touch
+shows here first when it does change it.
 """
 import hashlib
 import struct
@@ -13,7 +14,8 @@ import pytest
 
 from farloc import workload
 from farloc.farmem import Space
-from farloc.workload import VARIANTS, BenchConfig, run_benchmark
+from farloc.workload import (VARIANTS, BenchConfig, build_placement,
+                             query_script, run_benchmark)
 
 CONFIG = dict(total_data_bytes=64 * 1024, l_percent=25.0, alpha=0.8,
               update_ratio=0.5, num_queries=300, seed=0)
@@ -32,6 +34,24 @@ EXPECTED = {
     "skip-local": (13202, "43025cb927a0e3193c8a9e8243651f70d767a175a160b8a2b115f064ed2d2678"),
     "skip-page": (22915, "a0c9e60685ef2881568e350af837347a460a4bcae9b1f8c299d8762003b3623b"),
     "skip-local+page": (15697, "39ea76bfa1cd1fd2e656385bcfd1a6c75d95fb4f50cc4aa8cfc483a942d7c9a1"),
+}
+
+
+# variant -> (page touches, SHA-256) of 300 searches after the build, every
+# other one a miss
+EXPECTED_SEARCH = {
+    "plain": (1468, "21c3ca52fdc0ccb36229b56950517bd9c5cdc30599bdc39ae5844731fd1ad6a5"),
+    "hint": (1468, "c48a40df5ad1b7fbf883c1be04f2cc97da9783f068dabdb9905bd34519e8ecfc"),
+    "local": (660, "c49d5e583dd47d7f815d505c28dbe98ea622782bbf2214fb6bc298a104993167"),
+    "dfs": (1468, "ede9c479c6d9ba2b63562514ec1c882172e4e8fe85a32a0f0435a4db78917320"),
+    "local+dfs": (660, "06b0527d0ee87b9c8873cad266c7936fe96cf856758b1351fcbd93027cc56b3c"),
+    "veb": (1468, "a4b49c82137556a07e9488bc96105814bdb393e06b35430e7ea945bab1ab0693"),
+    "local+veb": (660, "48804efceb7ab459f099c02dd66072bf6a068a450ff1c972e3ad0739ad4e6f4c"),
+    "skip-plain": (4928, "3d457f28a12591b44a65b07c2e18cd721a6cc6d9835b4c5e49cdd6a400401980"),
+    "skip-hint": (4928, "241ee3b08dcb09ba2cf2c6d5ac0fedc4aebcc5f09d401057d89064ba5a1e3104"),
+    "skip-local": (2087, "a1f124f3b8f96ae1b8e734971b840158e0a4007dcdeed11284ecda234a10ab94"),
+    "skip-page": (4928, "584e3fcfd7078d313d8becc6013b408b70959a6628fdd7b8cbbb1ee3f3e7dacb"),
+    "skip-local+page": (2087, "31256599d2be70970b971a3a43d83788e2825dacfcba34bba4fe271220a78d2b"),
 }
 
 
@@ -64,3 +84,21 @@ def traffic(variant: str, monkeypatch) -> tuple[int, str]:
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_page_traffic_is_pinned(variant, monkeypatch):
     assert traffic(variant, monkeypatch) == EXPECTED[variant]
+
+
+def search_traffic(variant: str) -> tuple[int, str]:
+    cfg = BenchConfig(variant=variant, **CONFIG)
+    container, space = build_placement(cfg)
+    sink = _DigestSink()
+    space.set_trace(sink)
+    for i, op in enumerate(query_script(cfg)):
+        # a stored key plus one is never stored at this size
+        hit = i % 2 == 0
+        found = container.search(op.key if hit else op.key + 1)
+        assert (found is not None) == hit
+    return sink.n, sink.sha.hexdigest()
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_search_traffic_is_pinned(variant):
+    assert search_traffic(variant) == EXPECTED_SEARCH[variant]

@@ -4,13 +4,14 @@ import pytest
 
 from farloc.containers import BTree, SkipList
 from farloc.farmem import ConfigError
-from farloc.workload import (FNV64_OFFSET, BenchConfig, QueryOp, VARIANTS,
-                             ZipfSampler, build_placement, fnv64_batch,
-                             local_budget, placement_keys, query_script,
-                             run_benchmark, run_queries, variant_uses_local)
+from farloc.workload import (FNV64_OFFSET, SCAN_LEN_MAX, BenchConfig, QueryOp,
+                             VARIANTS, ZipfSampler, build_placement,
+                             fnv64_batch, local_budget, placement_keys,
+                             query_script, run_benchmark, run_queries,
+                             variant_uses_local)
 from reference_models import ref_fnv1a_64
 
-SMALL = dict(total_data_bytes=160_000, num_queries=400, scan_len_max=20)
+SMALL = dict(total_data_bytes=160_000, num_queries=400)
 
 
 # -- hashing -------------------------------------------------------------
@@ -105,13 +106,16 @@ def test_config_validation():
     BenchConfig().validate()
     for bad in (dict(variant="nope"), dict(value_size_bytes=0),
                 dict(total_data_bytes=8), dict(l_percent=0.0),
+                # one node holds every pair: there are no links to census
+                dict(variant="plain", total_data_bytes=640),
+                dict(variant="skip-plain", total_data_bytes=319),
                 dict(l_percent=float("nan")), dict(l_percent=float("inf")),
                 dict(alpha=-1.0), dict(alpha=float("nan")),
                 dict(alpha=float("inf")),
                 dict(update_ratio=1.5), dict(update_ratio=-0.1),
                 dict(update_ratio=float("nan")),
                 dict(update_ratio=float("inf")),
-                dict(num_queries=-1), dict(scan_len_max=0),
+                dict(num_queries=-1),
                 dict(page_size_bytes=300), dict(page_size_bytes=128),
                 # the largest node block cannot fit one page
                 dict(variant="plain", page_size_bytes=512),
@@ -126,6 +130,9 @@ def test_config_validation():
                 dict(l_percent=1e308)):
         with pytest.raises(ConfigError):
             BenchConfig(**bad).validate()
+    # the fewest pairs that give a link: ORDER for a B-tree, 2 for a skip list
+    BenchConfig(variant="plain", total_data_bytes=800).validate()
+    BenchConfig(variant="skip-plain", total_data_bytes=320).validate()
     # a level-20 tower takes 344 bytes: it fits a 512-byte page
     BenchConfig(variant="skip-plain", page_size_bytes=512).validate()
     # without a purely-local region all of L is page cache, which is unbounded
@@ -170,7 +177,7 @@ def test_script_is_deterministic_and_well_formed():
     for op in s1:
         assert op.key in inserted
         if op.kind == "scan":
-            assert 1 <= op.length <= cfg.scan_len_max
+            assert 1 <= op.length <= SCAN_LEN_MAX
             assert op.value == b""
         else:
             assert op.kind == "update"
@@ -258,7 +265,7 @@ def test_measurement_is_isolated_from_placement():
     quiet = BenchConfig(variant="plain", total_data_bytes=160_000,
                         num_queries=0)
     busy = BenchConfig(variant="plain", total_data_bytes=160_000,
-                       num_queries=400, scan_len_max=20)
+                       num_queries=400)
     rq = run_benchmark(quiet)
     rb = run_benchmark(busy)
     assert rq.measurement_stats.swap_ins == 0
