@@ -75,7 +75,33 @@ def test_reused_replay_touches_the_pages_a_fresh_build_does(variant, monkeypatch
     assert len(set(fresh)) == len(cells)   # the cells do differ
 
 
-def test_one_build_per_run_of_a_key_and_nothing_held_past_the_scope(monkeypatch):
+def test_one_build_per_key_and_nothing_held_past_its_last_cell(monkeypatch):
+    built = []          # (build key, weak reference to its container)
+    real_build = workload._build
+
+    def spying_build(cfg):
+        gc.collect()
+        assert all(ref() is None for _, ref in built), "two placements held"
+        container, space = real_build(cfg)
+        built.append((build_key(cfg), weakref.ref(container)))
+        return container, space
+
+    monkeypatch.setattr(workload, "_build", spying_build)
+    # two keys per variant (L 10 and 50), four cells per key, each key's
+    # cells together as the sweep runs them
+    cells = grid("dfs", (10.0, 50.0)) + grid("skip-page", (10.0, 50.0))
+    with PlacementReuse() as reuse:
+        for c in cells:
+            run_benchmark(c)
+            assert reuse._key == build_key(c)
+    assert [k for k, _ in built] == list(dict.fromkeys(map(build_key, cells)))
+    assert len(built) == 4
+    # closing the scope releases the last key's placement
+    gc.collect()
+    assert all(ref() is None for _, ref in built)
+
+
+def test_cells_outside_the_plan_build_afresh(monkeypatch):
     builds = []
     real_build = workload._build
     monkeypatch.setattr(workload, "_build",
@@ -87,7 +113,6 @@ def test_one_build_per_run_of_a_key_and_nothing_held_past_the_scope(monkeypatch)
             assert reuse._key == build_key(c)
     # a new key drops the held placement; coming back to a key rebuilds it
     assert builds == [build_key(c) for c in (a, b, a)]
-    assert reuse._held is None
     # with no scope open, every call builds
     build_placement(a)
     build_placement(a)
