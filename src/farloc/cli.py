@@ -7,17 +7,21 @@ variant x L x alpha x update-ratio and writes CSV:
 * links report: structural-link composition ratios per cell
 
 Cells that share a build key (see ``workload.build_key``: the variant, the
-data, value and page sizes, the seed and the local budget) share one
-placement.  The sweep groups its cells by key, and these groups are the
-whole plan: each group runs in its own ``PlacementReuse`` scope, so its first
-cell builds the placement and the others get it back restored to its
-post-build state.  With one worker the groups run one after another in this
+data, value and page sizes, the seed and the purely-local bytes) share one
+placement.  The key leaves out the cache size, so a variant without a
+purely-local region has one placement at every L.  The sweep groups its
+cells by key, and these groups are the whole plan: each group runs in its
+own ``PlacementReuse`` scope, handed the group's cells.  Its first cell
+builds the placement, recording the build's page trace when a later cell
+needs another cache size; the others get the placement back restored, with
+their own L's cache state replayed from that trace.  A group of one cell
+keeps nothing.  With one worker the groups run one after another in this
 process; FARLOC_THREADS > 1 maps them over a process pool of at most one
 worker per group and per CPU.  Either way rows come back in sweep order.
 When a key's cells are not contiguous in the sweep (a repeated
 ``--l-percent``), they still run together, so the cells run in group order,
-not sweep order.  The output paths and every cell are checked before the
-first build.
+not sweep order.  The output paths, FARLOC_THREADS and every cell are
+checked before the first build.
 """
 from __future__ import annotations
 
@@ -112,28 +116,32 @@ def parse_args(argv=None) -> tuple[SweepSpec, str, str]:
 
 
 def _run_cells(cells: list[BenchConfig]) -> list[BenchReport]:
-    """One report per cell, in order, inside one reuse scope: cells that
-    share a build key and follow one another share one placement."""
-    with PlacementReuse():
+    """One report per cell, in order, inside one reuse scope planned with
+    these cells: cells that share a build key share one placement."""
+    with PlacementReuse(cells):
         return [run_benchmark(cell) for cell in cells]
 
 
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[BenchReport]:
     """One report per cell, in sweep order.  The cells are grouped by build
     key and each group runs in one reuse scope, so each key is built once.
-    threads=None reads FARLOC_THREADS (default 1); one worker runs the
-    groups in turn in this process, more map them over a process pool.  The
-    pool starts all its workers at once under fork, so it never gets more
-    workers than groups or CPUs.  Every cell is validated first."""
+    threads=None reads FARLOC_THREADS (default 1); below 1 is an error.  One
+    worker runs the groups in turn in this process, more map them over a
+    process pool.  The pool starts all its workers at once under fork, so it
+    never gets more workers than groups or CPUs.  Every cell is validated
+    first."""
     cells = spec.cells()
     for cell in cells:
         cell.validate()
+    raw = threads
     if threads is None:
         raw = os.environ.get("FARLOC_THREADS", "1") or "1"
         try:
             threads = int(raw)
         except ValueError:
-            raise ConfigError(f"FARLOC_THREADS must be an integer, got {raw!r}") from None
+            threads = 0
+    if threads < 1:
+        raise ConfigError(f"FARLOC_THREADS must be an integer >= 1, got {raw!r}")
     groups: dict[tuple, list[int]] = {}
     for i, cell in enumerate(cells):
         groups.setdefault(build_key(cell), []).append(i)

@@ -7,7 +7,9 @@ LRU eviction; every access to a swappable block is mediated by the space,
 which performs the fault / swap-in / write-back accounting a far-memory
 runtime would do.  :meth:`Space.touch` is the validated entry for any byte
 range of a block; :meth:`Space.touch_block` and :meth:`Space.touch_blocks`
-are the unchecked whole-block entries the containers use.
+are the unchecked whole-block entries the containers use.  A page trace
+kept by :class:`TraceRecorder` replays at any cache size through
+:func:`replay_trace`.
 
 Handles are plain integer offsets into the address space (0 is the null
 handle); region membership is derivable from the offset alone.  Blocks are
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -281,7 +283,7 @@ class Space:
         self._resident: OrderedDict[int, bool] = OrderedDict()   # page -> dirty
         self._swap_ins = 0
         self._write_backs = 0
-        self._trace: list[tuple[int, bool]] | None = None
+        self._trace = None
 
     # -- carving ---------------------------------------------------------
 
@@ -446,22 +448,34 @@ class Space:
         return tuple(res.keys()), frozenset(p for p, d in res.items() if d)
 
     def restore(self, residency: tuple[tuple[int, ...], frozenset[int]],
-                stats: SwapStats) -> None:
+                stats: SwapStats, cache_pages: int | None = None) -> None:
         """Put back the cache and the counters that :meth:`residency` and
-        :meth:`stats` returned; blocks and pages are left as they are."""
+        :meth:`stats` (or :func:`replay_trace`) returned, in a cache of
+        ``cache_pages`` pages (default: the current capacity); blocks and
+        pages are left as they are."""
+        cap = self._cache_cap if cache_pages is None else cache_pages
+        if cap < 0:
+            raise UsageError(f"cache capacity must be >= 0, got {cap}")
         order, dirty = residency
-        n = len(self._pages)
-        if len(order) > self._cache_cap or any(not 0 <= p < n for p in order):
+        pages, n = set(order), len(self._pages)
+        if (len(order) > cap or len(pages) != len(order) or not dirty <= pages
+                or any(not 0 <= p < n for p in order)):
             raise UsageError("residency does not fit this space's cache and pages")
+        if cap != self._cache_cap:
+            self.cfg = replace(self.cfg, cache_capacity_pages=cap)
+            self._cache_cap = cap
         res = self._resident
         res.clear()
         for p in order:
             res[p] = p in dirty
         self._swap_ins, self._write_backs = stats.swap_ins, stats.write_backs
 
-    def set_trace(self, sink: list[tuple[int, bool]] | None) -> None:
-        """Record every swappable page touch as ``(page, is_write)`` into sink."""
-        self._trace = sink
+    def set_trace(self, sink):
+        """Record every swappable page touch as ``(page, is_write)`` into
+        ``sink``, through its ``append``, until the next call; None stops
+        recording.  Returns the sink this one replaces."""
+        old, self._trace = self._trace, sink
+        return old
 
     @property
     def num_pages(self) -> int:
@@ -476,3 +490,46 @@ class Space:
 
     def page_max_free(self, page: PageId) -> int:
         return self._pages[page].free.max_free()
+
+
+class TraceRecorder:
+    """A :meth:`Space.set_trace` sink that keeps each touch in the int array
+    ``codes`` as ``page * 2 + is_write``, the form :func:`replay_trace`
+    reads, and passes it on to ``outer``, the sink it displaced, if any."""
+
+    __slots__ = ("codes", "outer")
+
+    def __init__(self, codes):
+        self.codes = codes
+        self.outer = None
+
+    def append(self, touch) -> None:
+        page, is_write = touch
+        self.codes.append(page * 2 + is_write)
+        if self.outer is not None:
+            self.outer.append(touch)
+
+
+def replay_trace(trace, cache_pages: int) -> tuple[
+        SwapStats, tuple[tuple[int, ...], frozenset[int]]]:
+    """Replay a page trace from an empty cache of ``cache_pages`` pages.
+
+    Each touch of ``trace`` is encoded as ``page * 2 + is_write``, as
+    :class:`TraceRecorder` keeps it.  Misses go through
+    :meth:`Space._swap_in`, so the strict-LRU, write-back and capacity-0
+    rules are the space's own.  Returns the statistics and the residency
+    the touches leave, which under strict LRU depend on nothing but the
+    trace and the capacity: one trace of a run serves every cache size.
+    """
+    space = Space(SpaceConfig(cache_capacity_pages=cache_pages))
+    res = space._resident
+    swap_in = space._swap_in
+    for code in trace:
+        page = code >> 1
+        if page in res:
+            res.move_to_end(page)
+            if code & 1:
+                res[page] = True
+        else:
+            swap_in(page, bool(code & 1))
+    return space.stats(), space.residency()

@@ -16,15 +16,20 @@ All randomness derives from the config seed through independent streams so
 that changing the update ratio alters neither the query keys nor the scan
 lengths, keeping variants and update mixes comparable cell by cell.
 
-Placement reads none of the skew, the update mix or the query count, so
-cells that differ only in those have one build key (:func:`build_key`).  A
-:class:`PlacementReuse` scope holds the placement of its last build and
-gives it back, restored, to the next call with the same key; the caller
-decides the order of the calls, and so which of them share a build.
+Placement reads none of the skew, the update mix, the query count or the
+page-cache size, so cells that differ only in those have one build key
+(:func:`build_key`); for a variant without a purely-local region that is
+one key at every L.  A :class:`PlacementReuse` scope, planned with the
+cells it will run, builds each key once and gives the placement back,
+restored, to the key's other cells.  A cell at another cache size gets its
+post-build cache state from a replay of the build's page trace
+(:func:`farloc.farmem.replay_trace`): under strict LRU the swap-ins and
+write-backs at any capacity follow from the page-reference string alone.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -35,7 +40,8 @@ from .containers import (BTree, BTreeVariant, SkipList, SkipListVariant,
                          btree_block_bytes, tower_block_bytes)
 from .containers.btree import ORDER
 from .containers.skiplist import MAX_LEVEL
-from .farmem import ConfigError, Space, SpaceConfig, SwapStats
+from .farmem import (ConfigError, Space, SpaceConfig, SwapStats,
+                     TraceRecorder, replay_trace)
 from .metrics import LinkComposition, link_composition
 
 FNV64_OFFSET = 0xCBF29CE484222325
@@ -199,25 +205,33 @@ def placement_keys(cfg: BenchConfig) -> np.ndarray:
 
 def build_key(cfg: BenchConfig) -> tuple:
     """Everything a build reads from its config.  Cells with one key get one
-    placement, whatever their skew, update mix and query count."""
+    placement, whatever their skew, update mix, query count and cache size.
+    Placement never reads the cache, so of the local budget the key keeps
+    only the purely-local bytes; a variant without a purely-local region has
+    one key at every L."""
     return (cfg.variant, cfg.total_data_bytes, cfg.value_size_bytes,
-            cfg.page_size_bytes, cfg.seed, local_budget(cfg))
+            cfg.page_size_bytes, cfg.seed, local_budget(cfg)[0])
 
 
 class PlacementReuse:
-    """A scope, opened as a context manager, that holds one placement.
+    """A scope, opened as a context manager, that builds each placement of a
+    plan once.
 
-    Inside the scope, :func:`build_placement` keeps the placement it built
-    last.  A call with the same build key gets the same container and space
-    back, restored to their post-build state: every stored value, the cache
-    order, the dirty bits and the counters.  Replay changes nothing else,
-    because an update rewrites a value in place and a scan only reads.  A
-    call with another key drops the held placement and builds.  Reuse is
-    correct in any call order; a caller gets one build per key by making
-    each key's calls together.
+    The plan is the cells the caller is about to run inside the scope.  A
+    build that a cell still to come shares keeps its container, space and
+    stored values, and its post-build cache state; when such a cell needs
+    another cache size, the build also records its page trace.  A later
+    call with that key gets the same container and space back as a fresh
+    build at its own L would leave them: the values restored, and the cache
+    capacity, LRU order, dirty bits and counters of that L, held from the
+    build or replayed from the trace by :func:`replay_trace`.  Query replay
+    changes nothing else, because an update rewrites a value in place and a
+    scan only reads.  The scope holds one placement.  Any other call builds
+    afresh, so reuse is correct in any call order.
     """
 
-    def __init__(self):
+    def __init__(self, cells):
+        self._todo = [(build_key(c), local_budget(c)[1]) for c in cells]
         self._key = None
         self._held = None
         self._token = None
@@ -231,18 +245,35 @@ class PlacementReuse:
         self._key = self._held = None
 
     def placement(self, cfg: BenchConfig):
-        key = build_key(cfg)
-        if key != self._key:
-            # drop the held placement first: the scope never holds two
-            self._key = self._held = None
-            container, space = _build(cfg)
-            self._held = (container, space, container.save_values(),
-                          space.residency(), space.stats())
+        key, cache = build_key(cfg), local_budget(cfg)[1]
+        if (key, cache) in self._todo:
+            self._todo.remove((key, cache))
+        if key == self._key:
+            placement = self._restore(cache)
+            if placement is not None:
+                return placement
+        # drop the held placement first: the scope never holds two
+        self._key = self._held = None
+        later = {c for k, c in self._todo if k == key}
+        trace = array("i") if later - {cache} else None
+        container, space = _build(cfg, trace)
+        if later:
             self._key = key
-            return container, space
-        container, space, values, residency, stats = self._held
+            self._held = (container, space, container.save_values(),
+                          {cache: (space.stats(), space.residency())}, trace)
+        return container, space
+
+    def _restore(self, cache: int):
+        """The held placement in the post-build state of a ``cache``-page
+        cache, or None when that state is neither held nor replayable."""
+        container, space, values, states, trace = self._held
+        if cache not in states:
+            if trace is None:
+                return None
+            states[cache] = replay_trace(trace, cache)
+        stats, residency = states[cache]
         container.restore_values(values)
-        space.restore(residency, stats)
+        space.restore(residency, stats, cache_pages=cache)
         return container, space
 
 
@@ -254,8 +285,7 @@ def build_placement(cfg: BenchConfig):
     """Placement phase: a fresh space and container, all pairs inserted and
     the batch rearrangement run when the variant has one.  Returns
     (container, space).  Inside a :class:`PlacementReuse` scope, a call
-    with the key of the scope's last build gets that placement back
-    instead."""
+    whose placement the scope holds gets it back instead."""
     cfg.validate()
     reuse = _active_reuse.get()
     if reuse is None:
@@ -263,10 +293,15 @@ def build_placement(cfg: BenchConfig):
     return reuse.placement(cfg)
 
 
-def _build(cfg: BenchConfig):
+def _build(cfg: BenchConfig, trace: array | None = None):
+    """A fresh placement; with ``trace``, its page touches are appended
+    there as :func:`replay_trace` reads them."""
     family, variant, uses_local = VARIANTS[cfg.variant]
     pl_bytes, cache_pages = local_budget(cfg)
     space = Space(SpaceConfig(cfg.page_size_bytes, pl_bytes, cache_pages))
+    if trace is not None:
+        recorder = TraceRecorder(trace)
+        recorder.outer = space.set_trace(recorder)
     hinted = variant in (BTreeVariant.HINT, SkipListVariant.HINT)
     allocator = HintAllocator(space) if hinted else CollectiveAllocator(space)
     value_slot = cfg.pair_size_bytes - 8
@@ -283,6 +318,8 @@ def _build(cfg: BenchConfig):
         insert(key, buf[i * vs:(i + 1) * vs])
     if container.has_rearrangement:
         container.make_page_aware()
+    if trace is not None:
+        space.set_trace(recorder.outer)
     return container, space
 
 

@@ -181,7 +181,9 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
               "--l-percent", "1e15"], "1"),
             (["--l-percent", "1e308"], "1"),
             ([], "abc"),
-            ([], "1.5")]:
+            ([], "1.5"),
+            ([], "0"),
+            ([], "-2")]:
         monkeypatch.setenv("FARLOC_THREADS", threads)
         rc = main(TINY + bad + ["--out", str(tmp_path / "x.csv")])
         assert rc == 1, bad
@@ -278,9 +280,10 @@ def test_process_pool_is_bounded(monkeypatch, threads, n_groups, per_group, cpus
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "run_benchmark", lambda cfg: cfg)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    # L changes the placement, alpha does not
+    # L changes local's placement, alpha does not
     spec, _, _ = parse_args(
-        [x for i in range(n_groups) for x in ("--l-percent", str(i + 1))]
+        ["--variant", "local"]
+        + [x for i in range(n_groups) for x in ("--l-percent", str(i + 1))]
         + [x for i in range(per_group) for x in ("--alpha", str(i + 1))])
     monkeypatch.setenv("FARLOC_THREADS", str(threads))
     assert run_sweep(spec) == spec.cells()
@@ -293,7 +296,8 @@ def test_pool_rows_follow_sweep_order_when_groups_interleave(monkeypatch):
     monkeypatch.setattr(cli, "run_benchmark", lambda cfg: cfg)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     # a repeated L puts one placement's cells on both sides of another's
-    spec, _, _ = parse_args(["--l-percent", "1", "--l-percent", "2",
+    spec, _, _ = parse_args(["--variant", "local",
+                             "--l-percent", "1", "--l-percent", "2",
                              "--l-percent", "1", "--alpha", "1", "--alpha", "2"])
     monkeypatch.setenv("FARLOC_THREADS", "4")
     assert run_sweep(spec) == spec.cells()

@@ -1,5 +1,6 @@
 """Address space: carving, first-fit reuse, LRU swap accounting, tracing."""
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from farloc.farmem import (
     SwapStats,
     UsageError,
     _ArrayFreeList,
+    replay_trace,
 )
 from reference_models import ByteMapFirstFit, NaiveLru, ReplayLru, page_index
 
@@ -296,6 +298,27 @@ def test_restore_puts_back_cache_order_dirty_bits_and_counters(
         space.restore(((0, 1, 2), frozenset()), SwapStats())   # over capacity
     with pytest.raises(UsageError):
         space.restore(((7,), frozenset()), SwapStats())         # no such page
+    with pytest.raises(UsageError):
+        space.restore(((1, 1), frozenset()), SwapStats())       # a page twice
+    with pytest.raises(UsageError):
+        space.restore(((1,), frozenset({2})), SwapStats())      # dirty, not resident
+    with pytest.raises(UsageError):
+        space.restore(((), frozenset()), SwapStats(), cache_pages=-1)
+    assert space.cfg.cache_capacity_pages == 2
+
+
+def test_restore_takes_a_new_cache_capacity(space_with_page_blocks):
+    space, (a, b, c) = space_with_page_blocks(cache_pages=1, n_pages=3)
+    space.restore(((0, 2), frozenset({2})), SwapStats(5, 1), cache_pages=3)
+    assert space.cfg == SpaceConfig(4096, 0, 3)
+    space.touch(b, 4096)                       # fits beside 0 and 2
+    assert space.stats() == SwapStats(6, 1)
+    assert space.residency() == ((0, 2, 1), frozenset({2}))
+    space.restore(((), frozenset()), SwapStats(), cache_pages=0)
+    assert space.cfg.cache_capacity_pages == 0
+    space.touch(a, 4096, is_write=True)        # written straight back
+    assert (space.stats(), space.residency()) == (SwapStats(1, 1),
+                                                  ((), frozenset()))
 
 
 def test_lru_matches_naive_model_on_random_scripts(space_with_page_blocks):
@@ -346,7 +369,7 @@ def test_trace_records_page_and_write_flag(space_with_page_blocks):
     space.touch(b, 16, is_write=True)
     space.touch(a, 1)
     assert sink == [(0, False), (1, True), (0, False)]
-    space.set_trace(None)
+    assert space.set_trace(None) is sink
     space.touch(b, 1)
     assert len(sink) == 3
 
@@ -403,7 +426,8 @@ def test_fast_paths_match_touch_and_the_naive_model(cache, page_blocks,
     """``touch`` over whole blocks, ``touch_block`` and ``touch_blocks`` over
     any chunking of one script give one trace, one set of statistics and
     one residency, and all match the naive LRU.  A chunk is (is_write,
-    block indices); None drops every cached page."""
+    block indices); None drops every cached page.  The trace, replayed
+    by ``replay_trace`` at every capacity, matches the naive LRU too."""
 
     def fresh():
         space = Space(SpaceConfig(4096, 256, cache))
@@ -458,3 +482,15 @@ def test_fast_paths_match_touch_and_the_naive_model(cache, page_blocks,
     assert list(order) == naive.order
     assert dirty == frozenset(naive.dirty)
     assert sink == trace
+
+    # the trace alone, replayed from a cold cache at any capacity
+    codes = array("i", (page * 2 + is_write for page, is_write in sink))
+    for cap in range(5):
+        naive = NaiveLru(cap)
+        for page, is_write in sink:
+            naive.touch_page(page, is_write)
+        stats, (order, dirty) = replay_trace(codes, cap)
+        assert (stats.swap_ins, stats.write_backs) == (naive.swap_ins,
+                                                       naive.write_backs)
+        assert list(order) == naive.order
+        assert dirty == frozenset(naive.dirty)
