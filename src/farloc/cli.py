@@ -13,11 +13,12 @@ purely-local region has one placement at every L.  The sweep groups its
 cells by key, and these groups are the whole plan: each group runs in its
 own ``PlacementReuse`` scope, handed the group's cells.  Its first cell
 builds the placement, recording the build's page trace when a later cell
-needs another cache size; the others get the placement back restored, with
-their own L's cache state replayed from that trace.  A group of one cell
-keeps nothing.  With one worker the groups run one after another in this
-process; FARLOC_THREADS > 1 maps them over a process pool of at most one
-worker per group and per CPU.  Either way rows come back in sweep order.
+needs another cache size.  The others get the placement back with its
+values restored, an empty cache and the placement counters of their own L,
+held from the build or replayed from that trace.  A group of one cell keeps
+nothing.  With one worker the groups run one after another in this process;
+FARLOC_THREADS > 1 maps them over a process pool of at most one worker per
+group and per CPU.  Either way rows come back in sweep order.
 When a key's cells are not contiguous in the sweep (a repeated
 ``--l-percent``), they still run together, so the cells run in group order,
 not sweep order.  The output paths, FARLOC_THREADS and every cell are

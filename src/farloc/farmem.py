@@ -7,9 +7,9 @@ LRU eviction; every access to a swappable block is mediated by the space,
 which performs the fault / swap-in / write-back accounting a far-memory
 runtime would do.  :meth:`Space.touch` is the validated entry for any byte
 range of a block; :meth:`Space.touch_block` and :meth:`Space.touch_blocks`
-are the unchecked whole-block entries the containers use.  A page trace
-kept by :class:`TraceRecorder` replays at any cache size through
-:func:`replay_trace`.
+are the unchecked whole-block entries the containers use.  A trace sink
+receives each swappable touch as one int, ``page * 2 + is_write``; such a
+trace replays at any cache size through :func:`replay_trace`.
 
 Handles are plain integer offsets into the address space (0 is the null
 handle); region membership is derivable from the offset alone.  Blocks are
@@ -353,7 +353,8 @@ class Space:
         if length < 0 or length > size:
             raise UsageError(f"touch of {length} bytes outside a {size}-byte block")
         if length:
-            self.touch_block(handle, is_write)
+            # the trace code is page * 2 + is_write, so the flag must be 0 or 1
+            self.touch_block(handle, bool(is_write))
 
     def touch_block(self, handle: Handle, is_write: bool) -> None:
         """Account one access to the whole block at ``handle``, unchecked.
@@ -366,7 +367,7 @@ class Space:
             return
         idx = (handle - SWAP_BASE) >> self._page_shift
         if self._trace is not None:
-            self._trace.append((idx, is_write))
+            self._trace.append(idx * 2 + is_write)
         res = self._resident
         if idx in res:
             res.move_to_end(idx)
@@ -385,7 +386,7 @@ class Space:
                 continue
             idx = (handle - SWAP_BASE) >> shift
             if trace is not None:
-                trace.append((idx, is_write))
+                trace.append(idx * 2 + is_write)
             if idx in res:
                 res.move_to_end(idx)
                 if is_write:
@@ -443,37 +444,28 @@ class Space:
         self._swap_ins = self._write_backs = 0
 
     def residency(self) -> tuple[tuple[int, ...], frozenset[int]]:
-        """Resident pages in LRU-to-MRU order plus the dirty subset."""
+        """Resident pages in LRU-to-MRU order plus the dirty subset.  Only
+        the tests read it: it is their one window on the LRU order and the
+        dirty bits, which the reference LRU models check."""
         res = self._resident
         return tuple(res.keys()), frozenset(p for p, d in res.items() if d)
 
-    def restore(self, residency: tuple[tuple[int, ...], frozenset[int]],
-                stats: SwapStats, cache_pages: int | None = None) -> None:
-        """Put back the cache and the counters that :meth:`residency` and
-        :meth:`stats` (or :func:`replay_trace`) returned, in a cache of
-        ``cache_pages`` pages (default: the current capacity); blocks and
-        pages are left as they are."""
-        cap = self._cache_cap if cache_pages is None else cache_pages
-        if cap < 0:
-            raise UsageError(f"cache capacity must be >= 0, got {cap}")
-        order, dirty = residency
-        pages, n = set(order), len(self._pages)
-        if (len(order) > cap or len(pages) != len(order) or not dirty <= pages
-                or any(not 0 <= p < n for p in order)):
-            raise UsageError("residency does not fit this space's cache and pages")
-        if cap != self._cache_cap:
-            self.cfg = replace(self.cfg, cache_capacity_pages=cap)
-            self._cache_cap = cap
-        res = self._resident
-        res.clear()
-        for p in order:
-            res[p] = p in dirty
+    def restore(self, stats: SwapStats, cache_pages: int) -> None:
+        """Drop every cached page without counting it, make the cache
+        ``cache_pages`` pages (``cfg`` follows) and set the counters to
+        ``stats``; blocks and pages are left as they are."""
+        if cache_pages < 0:
+            raise UsageError(f"cache capacity must be >= 0, got {cache_pages}")
+        if cache_pages != self._cache_cap:
+            self.cfg = replace(self.cfg, cache_capacity_pages=cache_pages)
+            self._cache_cap = cache_pages
+        self._resident.clear()
         self._swap_ins, self._write_backs = stats.swap_ins, stats.write_backs
 
     def set_trace(self, sink):
-        """Record every swappable page touch as ``(page, is_write)`` into
-        ``sink``, through its ``append``, until the next call; None stops
-        recording.  Returns the sink this one replaces."""
+        """Append every swappable page touch to ``sink`` as the int
+        ``page * 2 + is_write`` until the next call; None stops recording.
+        Returns the sink this one replaces."""
         old, self._trace = self._trace, sink
         return old
 
@@ -492,34 +484,15 @@ class Space:
         return self._pages[page].free.max_free()
 
 
-class TraceRecorder:
-    """A :meth:`Space.set_trace` sink that keeps each touch in the int array
-    ``codes`` as ``page * 2 + is_write``, the form :func:`replay_trace`
-    reads, and passes it on to ``outer``, the sink it displaced, if any."""
-
-    __slots__ = ("codes", "outer")
-
-    def __init__(self, codes):
-        self.codes = codes
-        self.outer = None
-
-    def append(self, touch) -> None:
-        page, is_write = touch
-        self.codes.append(page * 2 + is_write)
-        if self.outer is not None:
-            self.outer.append(touch)
-
-
-def replay_trace(trace, cache_pages: int) -> tuple[
-        SwapStats, tuple[tuple[int, ...], frozenset[int]]]:
+def replay_trace(trace, cache_pages: int) -> SwapStats:
     """Replay a page trace from an empty cache of ``cache_pages`` pages.
 
     Each touch of ``trace`` is encoded as ``page * 2 + is_write``, as
-    :class:`TraceRecorder` keeps it.  Misses go through
+    :meth:`Space.set_trace` hands it to a sink.  Misses go through
     :meth:`Space._swap_in`, so the strict-LRU, write-back and capacity-0
-    rules are the space's own.  Returns the statistics and the residency
-    the touches leave, which under strict LRU depend on nothing but the
-    trace and the capacity: one trace of a run serves every cache size.
+    rules are the space's own.  Returns the statistics, which under strict
+    LRU depend on nothing but the trace and the capacity: one trace of a
+    run serves every cache size.
     """
     space = Space(SpaceConfig(cache_capacity_pages=cache_pages))
     res = space._resident
@@ -532,4 +505,4 @@ def replay_trace(trace, cache_pages: int) -> tuple[
                 res[page] = True
         else:
             swap_in(page, bool(code & 1))
-    return space.stats(), space.residency()
+    return space.stats()

@@ -22,7 +22,7 @@ page-cache size, so cells that differ only in those have one build key
 one key at every L.  A :class:`PlacementReuse` scope, planned with the
 cells it will run, builds each key once and gives the placement back,
 restored, to the key's other cells.  A cell at another cache size gets its
-post-build cache state from a replay of the build's page trace
+placement counters from a replay of the build's page trace
 (:func:`farloc.farmem.replay_trace`): under strict LRU the swap-ins and
 write-backs at any capacity follow from the page-reference string alone.
 """
@@ -40,8 +40,7 @@ from .containers import (BTree, BTreeVariant, SkipList, SkipListVariant,
                          btree_block_bytes, tower_block_bytes)
 from .containers.btree import ORDER
 from .containers.skiplist import MAX_LEVEL
-from .farmem import (ConfigError, Space, SpaceConfig, SwapStats,
-                     TraceRecorder, replay_trace)
+from .farmem import ConfigError, Space, SpaceConfig, SwapStats, replay_trace
 from .metrics import LinkComposition, link_composition
 
 FNV64_OFFSET = 0xCBF29CE484222325
@@ -218,16 +217,18 @@ class PlacementReuse:
     plan once.
 
     The plan is the cells the caller is about to run inside the scope.  A
-    build that a cell still to come shares keeps its container, space and
-    stored values, and its post-build cache state; when such a cell needs
-    another cache size, the build also records its page trace.  A later
-    call with that key gets the same container and space back as a fresh
-    build at its own L would leave them: the values restored, and the cache
-    capacity, LRU order, dirty bits and counters of that L, held from the
-    build or replayed from the trace by :func:`replay_trace`.  Query replay
-    changes nothing else, because an update rewrites a value in place and a
-    scan only reads.  The scope holds one placement.  Any other call builds
-    afresh, so reuse is correct in any call order.
+    build that a cell still to come shares keeps its container, space,
+    stored values and placement counters; when such a cell needs another
+    cache size, the build also records its page trace.  A later call with
+    that key gets the same container and space back with the values
+    restored, the cache capacity and placement counters of its own L (held
+    from the build or replayed from the trace by :func:`replay_trace`), and
+    an empty cache.  A fresh build would leave its cache full, but a cell
+    reads only the counters before :func:`run_benchmark` drops the cache,
+    and the link census touches nothing.  Query replay changes nothing
+    else, because an update rewrites a value in place and a scan only reads.
+    The scope holds one placement.  Any other call builds afresh, so reuse
+    is correct in any call order.
     """
 
     def __init__(self, cells):
@@ -260,20 +261,19 @@ class PlacementReuse:
         if later:
             self._key = key
             self._held = (container, space, container.save_values(),
-                          {cache: (space.stats(), space.residency())}, trace)
+                          {cache: space.stats()}, trace)
         return container, space
 
     def _restore(self, cache: int):
-        """The held placement in the post-build state of a ``cache``-page
-        cache, or None when that state is neither held nor replayable."""
-        container, space, values, states, trace = self._held
-        if cache not in states:
+        """The held placement with the placement counters of a ``cache``-page
+        cache, or None when they are neither held nor replayable."""
+        container, space, values, stats, trace = self._held
+        if cache not in stats:
             if trace is None:
                 return None
-            states[cache] = replay_trace(trace, cache)
-        stats, residency = states[cache]
+            stats[cache] = replay_trace(trace, cache)
         container.restore_values(values)
-        space.restore(residency, stats, cache_pages=cache)
+        space.restore(stats[cache], cache)
         return container, space
 
 
@@ -295,13 +295,13 @@ def build_placement(cfg: BenchConfig):
 
 def _build(cfg: BenchConfig, trace: array | None = None):
     """A fresh placement; with ``trace``, its page touches are appended
-    there as :func:`replay_trace` reads them."""
+    there as :func:`replay_trace` reads them.  A sink the space already had
+    gets the same touches, in order, when the build ends."""
     family, variant, uses_local = VARIANTS[cfg.variant]
     pl_bytes, cache_pages = local_budget(cfg)
     space = Space(SpaceConfig(cfg.page_size_bytes, pl_bytes, cache_pages))
     if trace is not None:
-        recorder = TraceRecorder(trace)
-        recorder.outer = space.set_trace(recorder)
+        outer = space.set_trace(trace)
     hinted = variant in (BTreeVariant.HINT, SkipListVariant.HINT)
     allocator = HintAllocator(space) if hinted else CollectiveAllocator(space)
     value_slot = cfg.pair_size_bytes - 8
@@ -319,7 +319,10 @@ def _build(cfg: BenchConfig, trace: array | None = None):
     if container.has_rearrangement:
         container.make_page_aware()
     if trace is not None:
-        space.set_trace(recorder.outer)
+        space.set_trace(outer)
+        if outer is not None:
+            for code in trace:
+                outer.append(code)
     return container, space
 
 

@@ -18,6 +18,7 @@ test_replayed_cells_match_direct_runs pins both shortcuts against direct
 single-cell runs.
 """
 import random
+from array import array
 from bisect import bisect_left, insort
 from dataclasses import replace
 
@@ -98,16 +99,15 @@ class SweepLab:
         self._capture(variant, 50.0, container)
         mixes = {}
         for alpha, u in MIXES:
-            sink = []
+            sink = array("i")
             space.evict_all()
             space.reset_stats()
             space.set_trace(sink)
             run_queries(container,
                         query_script(self._cfg(variant, 50.0, alpha, u)))
             space.set_trace(None)
-            pages = np.fromiter((p for p, _ in sink), np.int64, len(sink))
-            writes = np.fromiter((w for _, w in sink), bool, len(sink))
-            mixes[(alpha, u)] = (pages, writes)
+            codes = np.frombuffer(sink, dtype=np.intc)
+            mixes[(alpha, u)] = (codes >> 1, (codes & 1).astype(bool))
         self._traces[variant] = mixes
 
     def _ensure_local(self, variant, l, with_swaps=True):

@@ -279,42 +279,35 @@ def test_residency_reports_lru_order_and_dirty_set(space_with_page_blocks):
     assert dirty == frozenset({1})
 
 
-def test_restore_puts_back_cache_order_dirty_bits_and_counters(
+def test_restore_drops_the_cache_uncounted_and_sets_the_counters(
         space_with_page_blocks):
     space, (a, b, c) = space_with_page_blocks(cache_pages=2, n_pages=3)
     space.touch(a, 4096, is_write=True)
     space.touch(b, 4096)
-    saved = space.residency(), space.stats()
-    space.touch(c, 4096, is_write=True)       # evicts dirty a
-    space.evict_all()
-    space.reset_stats()
-    space.restore(*saved)
-    assert (space.residency(), space.stats()) == saved
-    # the LRU page is a, and it is still dirty: a miss evicts and writes it
-    space.touch(c, 4096)
-    assert space.stats() == SwapStats(3, 1)
-    assert space.residency() == ((1, 2), frozenset())
+    space.restore(SwapStats(5, 1), cache_pages=2)
+    # the dirty page went without a write-back
+    assert (space.stats(), space.residency()) == (SwapStats(5, 1),
+                                                  ((), frozenset()))
+    assert space.cfg == SpaceConfig(4096, 0, 2)
+    space.touch(b, 4096)                       # b was dropped too
+    assert space.stats() == SwapStats(6, 1)
     with pytest.raises(UsageError):
-        space.restore(((0, 1, 2), frozenset()), SwapStats())   # over capacity
-    with pytest.raises(UsageError):
-        space.restore(((7,), frozenset()), SwapStats())         # no such page
-    with pytest.raises(UsageError):
-        space.restore(((1, 1), frozenset()), SwapStats())       # a page twice
-    with pytest.raises(UsageError):
-        space.restore(((1,), frozenset({2})), SwapStats())      # dirty, not resident
-    with pytest.raises(UsageError):
-        space.restore(((), frozenset()), SwapStats(), cache_pages=-1)
+        space.restore(SwapStats(), cache_pages=-1)
     assert space.cfg.cache_capacity_pages == 2
+    assert space.stats() == SwapStats(6, 1)
+    assert space.residency() == ((1,), frozenset())
 
 
 def test_restore_takes_a_new_cache_capacity(space_with_page_blocks):
     space, (a, b, c) = space_with_page_blocks(cache_pages=1, n_pages=3)
-    space.restore(((0, 2), frozenset({2})), SwapStats(5, 1), cache_pages=3)
+    space.touch(a, 4096)
+    space.restore(SwapStats(5, 1), cache_pages=3)
     assert space.cfg == SpaceConfig(4096, 0, 3)
-    space.touch(b, 4096)                       # fits beside 0 and 2
-    assert space.stats() == SwapStats(6, 1)
-    assert space.residency() == ((0, 2, 1), frozenset({2}))
-    space.restore(((), frozenset()), SwapStats(), cache_pages=0)
+    for h in (a, b, c, a):                     # three fit
+        space.touch(h, 4096)
+    assert space.stats() == SwapStats(8, 1)
+    assert space.residency() == ((1, 2, 0), frozenset())
+    space.restore(SwapStats(), cache_pages=0)
     assert space.cfg.cache_capacity_pages == 0
     space.touch(a, 4096, is_write=True)        # written straight back
     assert (space.stats(), space.residency()) == (SwapStats(1, 1),
@@ -362,13 +355,14 @@ def test_replay_lru_matches_naive_model():
 # -- page-touch tracing --------------------------------------------------
 
 def test_trace_records_page_and_write_flag(space_with_page_blocks):
-    space, (a, b) = space_with_page_blocks(cache_pages=1, n_pages=2)
+    space, (a, b) = space_with_page_blocks(cache_pages=2, n_pages=2)
     sink = []
     space.set_trace(sink)
     space.touch(a, 4096)
     space.touch(b, 16, is_write=True)
-    space.touch(a, 1)
-    assert sink == [(0, False), (1, True), (0, False)]
+    space.touch(a, 1, is_write=2)              # any truthy flag is a write
+    assert sink == [0 * 2 + 0, 1 * 2 + 1, 0 * 2 + 1]
+    assert space.residency() == ((1, 0), frozenset({0, 1}))
     assert space.set_trace(None) is sink
     space.touch(b, 1)
     assert len(sink) == 3
@@ -404,8 +398,8 @@ def test_trace_is_cache_independent_and_replays_exactly():
     assert all(t == traces[0] for t in traces)
     for cache, st_got in zip((0, 1, 2, 3, 50), stats):
         lru = ReplayLru(cache)
-        for page, w in traces[0]:
-            lru.touch_page(page, w)
+        for code in traces[0]:
+            lru.touch_page(code >> 1, code & 1)
         assert (lru.swap_ins, lru.write_backs) == (st_got.swap_ins,
                                                    st_got.write_backs)
 
@@ -476,7 +470,7 @@ def test_fast_paths_match_touch_and_the_naive_model(cache, page_blocks,
             if h >= SWAP_BASE:
                 page = page_index(h, 4096)
                 naive.touch_page(page, is_write)
-                trace.append((page, is_write))
+                trace.append(page * 2 + is_write)
     stats, (order, dirty), sink = results[0]
     assert (stats.swap_ins, stats.write_backs) == (naive.swap_ins, naive.write_backs)
     assert list(order) == naive.order
@@ -484,13 +478,11 @@ def test_fast_paths_match_touch_and_the_naive_model(cache, page_blocks,
     assert sink == trace
 
     # the trace alone, replayed from a cold cache at any capacity
-    codes = array("i", (page * 2 + is_write for page, is_write in sink))
+    codes = array("i", sink)
     for cap in range(5):
         naive = NaiveLru(cap)
-        for page, is_write in sink:
-            naive.touch_page(page, is_write)
-        stats, (order, dirty) = replay_trace(codes, cap)
+        for code in sink:
+            naive.touch_page(code >> 1, bool(code & 1))
+        stats = replay_trace(codes, cap)
         assert (stats.swap_ins, stats.write_backs) == (naive.swap_ins,
                                                        naive.write_backs)
-        assert list(order) == naive.order
-        assert dirty == frozenset(naive.dirty)

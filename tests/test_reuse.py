@@ -1,15 +1,15 @@
 """Placement reuse within a sweep.
 
 A ``PlacementReuse`` scope is planned with the cells about to run in it and
-holds one placement: a call whose placement it holds gets it back, restored
-to the state a fresh build at the call's own L leaves, and any other call
-builds afresh.  Placement never reads the cache, so a variant without a
-purely-local region has one build key at every L, and a reused cell at
-another cache size gets its cache state from a replay of the build's page
-trace.  The sweep runs each group of cells that share a build key in one
-scope.  Every test here compares against the unscoped path, which builds
-afresh for every call, so reuse must be invisible in everything a cell
-reports.
+holds one placement: a call whose placement it holds gets it back with the
+values, placement counters and cache capacity a fresh build at the call's
+own L leaves, and an empty cache; any other call builds afresh.  Placement
+never reads the cache, so a variant without a purely-local region has one
+build key at every L, and a reused cell at another cache size gets its
+counters from a replay of the build's page trace.  The sweep runs each
+group of cells that share a build key in one scope.  Every test here
+compares against the unscoped path, which builds afresh for every call, so
+reuse must be invisible in everything a cell reports.
 """
 import gc
 import hashlib
@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from farloc import cli, workload
-from farloc.farmem import Space, UsageError, replay_trace
+from farloc.farmem import Space, SwapStats, UsageError, replay_trace
 from farloc.workload import (VARIANTS, BenchConfig, PlacementReuse,
                              build_key, build_placement, local_budget,
                              query_script, run_benchmark, run_queries)
@@ -75,15 +75,15 @@ def test_scoped_sweep_reports_equal_per_cell_runs(variant):
 
 
 class _Digest:
-    """Trace sink that hashes each ``(page, is_write)`` touch."""
+    """Trace sink that hashes each ``page * 2 + is_write`` touch."""
 
     def __init__(self):
         self.n = 0
         self.sha = hashlib.sha256()
 
-    def append(self, touch):
+    def append(self, code):
         self.n += 1
-        self.sha.update(struct.pack("<qB", *touch))
+        self.sha.update(struct.pack("<qB", code >> 1, code & 1))
 
 
 @pytest.mark.parametrize("variant", ["dfs", "local+dfs", "skip-local+page"])
@@ -112,8 +112,8 @@ def test_reused_replay_touches_the_pages_a_fresh_build_does(variant, monkeypatch
 @pytest.mark.parametrize("variant", ["plain", "skip-page"])
 def test_a_sink_installed_at_space_creation_sees_every_build_touch(
         variant, monkeypatch):
-    """A recording build passes each touch on to a sink already installed,
-    and its trace holds the same touches."""
+    """A recording build hands a sink already installed every touch, in
+    order, and its trace holds the same touches."""
     sinks, traces = [], []
     real_build = workload._build
 
@@ -141,7 +141,7 @@ def test_a_sink_installed_at_space_creation_sees_every_build_touch(
     (recording,), (trace,) = sinks, traces
     # the build and the first cell's queries, then the other cells' queries
     assert recording[:len(cell_touches)] == cell_touches
-    assert list(trace) == [p * 2 + w for p, w in build_touches]
+    assert list(trace) == build_touches
 
 
 def test_a_pooled_variant_builds_once_across_l(monkeypatch):
@@ -230,8 +230,13 @@ def test_build_key_holds_what_a_build_reads():
 
 
 def snapshot(container, space):
+    """What a cell reads of its placement: run_benchmark drops the cache
+    before its first query."""
     return (container.items(), container.node_handles(), space.stats(),
-            space.residency(), space.num_pages, space.cfg)
+            space.num_pages, space.cfg)
+
+
+EMPTY = ((), frozenset())
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -244,10 +249,12 @@ def test_restore_gives_back_the_post_build_state(variant):
         space.reset_stats()
         run_queries(container, query_script(cell))    # updates only
         assert container.items() != want[0]
-        assert (space.stats(), space.residency()) != want[2:4]
+        assert space.stats() != want[2]
+        assert space.residency() != EMPTY
         again = build_placement(cell)
     assert again == (container, space)
     assert snapshot(*again) == want
+    assert space.residency() == EMPTY
     container.validate()
 
 
@@ -255,16 +262,20 @@ def test_restore_gives_back_the_post_build_state(variant):
                                      "skip-plain", "skip-page"])
 def test_reuse_at_another_l_gives_the_state_of_a_fresh_build_there(variant):
     cells = [replace(BASE, variant=variant, l_percent=l, update_ratio=1.0)
-             for l in (25.0, 5.0, 50.0)]
+             for l in L_MIXED]
+    assert local_budget(cells[1])[1] == 0
     want = [snapshot(*build_placement(c)) for c in cells]
     with PlacementReuse(cells):
-        got = []
+        got, caches = [], []
         for cell in cells:
             container, space = build_placement(cell)
             got.append(snapshot(container, space))
+            caches.append(space.residency())
             run_queries(container, query_script(cell))
     assert got == want
-    assert len({w[3] for w in want}) == 3      # the cache states differ
+    # the first cell built the placement; every later one gets an empty cache
+    assert caches[1:] == [EMPTY] * (len(cells) - 1)
+    assert len({w[2] for w in want}) == 3      # the placement stats differ
     container.validate()
 
 
@@ -272,16 +283,16 @@ def test_replay_trace_restores_through_a_validated_capacity():
     cell = replace(BASE, variant="plain")
     trace = array("i")
     container, space = workload._build(cell, trace)
-    stats, residency = space.stats(), space.residency()
-    assert replay_trace(trace, space.cfg.cache_capacity_pages) == (stats, residency)
-    small = replay_trace(trace, 1)
-    space.restore(small[1], small[0], cache_pages=1)
+    assert replay_trace(trace, space.cfg.cache_capacity_pages) == space.stats()
+    for l, small in ((5.0, 0), (7.0, 1)):
+        fresh = workload._build(replace(cell, l_percent=l))[1]
+        assert fresh.cfg.cache_capacity_pages == small
+        assert replay_trace(trace, small) == fresh.stats()
+    space.restore(replay_trace(trace, 1), 1)
     assert (space.stats(), space.residency(), space.cfg.cache_capacity_pages) \
-        == (*small, 1)
+        == (replay_trace(trace, 1), EMPTY, 1)
     with pytest.raises(UsageError):
-        space.restore(residency, stats, cache_pages=1)     # over capacity
-    with pytest.raises(UsageError):
-        space.restore(((), frozenset()), stats, cache_pages=-1)
+        space.restore(SwapStats(), -1)
     assert space.cfg.cache_capacity_pages == 1
 
 

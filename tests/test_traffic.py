@@ -56,16 +56,16 @@ EXPECTED_SEARCH = {
 
 
 class _DigestSink:
-    """Trace sink that hashes each touch as it arrives."""
+    """Trace sink that hashes each ``page * 2 + is_write`` touch as it
+    arrives, packed as ``(page, is_write)``."""
 
     def __init__(self):
         self.n = 0
         self.sha = hashlib.sha256()
 
-    def append(self, touch):
-        page, is_write = touch
+    def append(self, code):
         self.n += 1
-        self.sha.update(struct.pack("<qB", page, is_write))
+        self.sha.update(struct.pack("<qB", code >> 1, code & 1))
 
 
 def traffic(variant: str, monkeypatch) -> tuple[int, str]:
