@@ -51,13 +51,10 @@ class SubAllocatorRef:
 @dataclass(frozen=True)
 class ObjectLayout:
     size_bytes: int
-    align: int = 8
 
     def validate(self) -> None:
         if self.size_bytes <= 0:
             raise UsageError(f"object size must be positive, got {self.size_bytes}")
-        if self.align <= 0 or self.align & (self.align - 1):
-            raise UsageError(f"alignment must be a power of two, got {self.align}")
 
 
 def _request_bytes(count: int, layout: ObjectLayout) -> int:
@@ -88,8 +85,9 @@ class _PagePool:
 
     Requests go to the oldest owned page whose largest free extent fits; a
     new empty page is opened only when no owned page can serve the request.
-    Pages are never retired, so a fully freed page stays owned and is
-    reused.
+    Blocks are placed by size alone, so a page whose largest extent fits a
+    request always serves it.  Pages are never retired, so a fully freed
+    page stays owned and is reused.
 
     A flat max-segment tree over per-page largest extents replaces the
     linear creation-order scan with an O(log n) leftmost-fit descent; every
@@ -146,8 +144,7 @@ class _PagePool:
         """Re-read the largest free extent of owned ``page``."""
         self._set(self._pos[page], self._space.page_max_free(page))
 
-    def allocate(self, size: int, align: int) -> Handle:
-        space = self._space
+    def allocate(self, size: int) -> Handle:
         t = self._tree
         if t[1] >= size:
             cap = self._cap
@@ -157,30 +154,15 @@ class _PagePool:
                 if t[i] < size:
                     i += 1
             pos = i - cap
-            page = self._pages[pos]
-            try:
-                h = space.carve_in_page(page, size, align)
-            except CapacityExhausted:
-                # a large-enough extent can still lose to alignment
-                # padding; fall back to a plain scan past this page
-                return self._allocate_scan(size, align, pos + 1)
-            self._set(pos, space.page_max_free(page))
-            return h
-        return self._open_page(size, align)
+        else:
+            pos = self._open_page()
+        page = self._pages[pos]
+        h = self._space.carve_in_page(page, size)
+        self._set(pos, self._space.page_max_free(page))
+        return h
 
-    def _allocate_scan(self, size: int, align: int, start_pos: int) -> Handle:
-        space = self._space
-        for pos in range(start_pos, len(self._pages)):
-            page = self._pages[pos]
-            try:
-                h = space.carve_in_page(page, size, align)
-            except CapacityExhausted:
-                continue
-            self._set(pos, space.page_max_free(page))
-            return h
-        return self._open_page(size, align)
-
-    def _open_page(self, size: int, align: int) -> Handle:
+    def _open_page(self) -> int:
+        """Own a new empty page; returns its position."""
         page = self._space.create_page()
         pos = len(self._pages)
         self._pos[page] = pos
@@ -189,9 +171,7 @@ class _PagePool:
             self._grow()
         if self._on_new_page is not None:
             self._on_new_page(page)
-        h = self._space.carve_in_page(page, size, align)
-        self._set(pos, self._space.page_max_free(page))
-        return h
+        return pos
 
 
 class CollectiveAllocator:
@@ -294,11 +274,11 @@ class CollectiveAllocator:
         total = _request_bytes(count, layout)
         space = self._space
         if ref.kind is Kind.PURELY_LOCAL:
-            return space.carve_purely_local(total, layout.align)
+            return space.carve_purely_local(total)
         _check_fits_page(space, total)
         if page is None:
-            return self._plain_pool.allocate(total, layout.align)
-        return space.carve_in_page(page, total, layout.align)
+            return self._plain_pool.allocate(total)
+        return space.carve_in_page(page, total)
 
     def deallocate(self, handle: Handle, count: int, layout: ObjectLayout) -> None:
         """Free a block previously returned by any of this allocator's
@@ -338,13 +318,13 @@ class HintAllocator:
             page = self._space.page_of(hint)
             if page in self._pool:
                 try:
-                    h = self._space.carve_in_page(page, total, layout.align)
+                    h = self._space.carve_in_page(page, total)
                 except CapacityExhausted:
                     pass
                 else:
                     self._pool.refresh(page)
                     return h
-        return self._pool.allocate(total, layout.align)
+        return self._pool.allocate(total)
 
     def deallocate(self, handle: Handle, count: int, layout: ObjectLayout) -> None:
         page = self._space.page_of(handle)   # validates the handle

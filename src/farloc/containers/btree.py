@@ -57,9 +57,9 @@ def btree_block_bytes(value_slot: int) -> int:
 
 
 class _Node:
-    __slots__ = ("keys", "vals", "children", "parent", "prev", "next", "leaf", "size")
+    __slots__ = ("keys", "vals", "children", "parent", "prev", "next", "leaf")
 
-    def __init__(self, keys, vals, children, parent, leaf, size):
+    def __init__(self, keys, vals, children, parent, leaf):
         self.keys = keys
         self.vals = vals
         self.children = children
@@ -67,7 +67,6 @@ class _Node:
         self.prev = 0
         self.next = 0
         self.leaf = leaf
-        self.size = size
 
 
 class BTree(PlacedContainer):
@@ -88,7 +87,7 @@ class BTree(PlacedContainer):
         self._max_keys = ORDER - 1
         self._min_keys = (ORDER + 1) // 2 - 1
         self._block = btree_block_bytes(value_slot)
-        self._layout = ObjectLayout(self._block, 8)
+        self._layout = ObjectLayout(self._block)
         self._layouts[self._block] = self._layout
         self._root: Handle = 0
         self._height = 0
@@ -200,7 +199,7 @@ class BTree(PlacedContainer):
         self._check_value(value)
         if not self._root:
             h = self._place_root(())
-            self._nodes[h] = _Node([key], [value], [], 0, True, self._block)
+            self._nodes[h] = _Node([key], [value], [], 0, True)
             self._splice_after(0, h)
             self._root = h
             self._height = 1
@@ -211,8 +210,7 @@ class BTree(PlacedContainer):
             held = [self._root, baby]
             new_h = self._place_root(held)
             old_root, baby = held
-            self._nodes[new_h] = _Node([sep_k], [sep_v], [old_root, baby], 0, False,
-                                       self._block)
+            self._nodes[new_h] = _Node([sep_k], [sep_v], [old_root, baby], 0, False)
             self._space.touch_block(new_h, True)
             self._nodes[old_root].parent = new_h
             self._space.touch_block(old_root, True)
@@ -265,7 +263,7 @@ class BTree(PlacedContainer):
             children.insert(i + 1, baby)
         mid = self._max_keys // 2
         right = _Node(keys[mid + 1:], vals[mid + 1:], children[mid + 1:],
-                      node.parent, node.leaf, self._block)
+                      node.parent, node.leaf)
         up_k, up_v = keys[mid], vals[mid]
         del keys[mid:]
         del vals[mid:]

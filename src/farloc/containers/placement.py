@@ -18,7 +18,7 @@ and the sub-allocator it probes first.  For relocation it supplies
 ``_repoint(h, new_h, node, referrers)``, which rewrites its structural
 pointers to the moved node, and, when those cannot be found from the node
 itself, ``_referrers(h)``.  Every node object carries ``prev``/``next``
-priority-list links and its block ``size``.
+priority-list links; its block size is read from the space's ledger.
 """
 from __future__ import annotations
 
@@ -180,8 +180,7 @@ class PlacedContainer:
         nodes = self._nodes
         touch = self._space.touch_block
         node = nodes[h]
-        size = node.size
-        layout = self._layouts[size]
+        layout = self._layouts[self._space.block_size(h)]
         new_h = place(layout)
         touch(h, False)
         nodes[new_h] = node
@@ -227,7 +226,6 @@ class PlacedContainer:
         while h:
             node = nodes[h]
             assert node.prev == prev
-            assert node.size == space.block_size(h), "node size out of date"
             seen.append(h)
             prev = h
             h = node.next

@@ -55,16 +55,15 @@ def tower_block_bytes(level: int, value_slot: int) -> int:
 
 
 class _SkipNode:
-    __slots__ = ("key", "val", "level", "forwards", "prev", "next", "size")
+    __slots__ = ("key", "val", "level", "forwards", "prev", "next")
 
-    def __init__(self, key, val, level, size):
+    def __init__(self, key, val, level):
         self.key = key
         self.val = val
         self.level = level
         self.forwards = [0] * level
         self.prev = 0
         self.next = 0
-        self.size = size
 
 
 class SkipList(PlacedContainer):
@@ -81,7 +80,7 @@ class SkipList(PlacedContainer):
         self._base = tower_block_bytes(0, value_slot)
         for lvl in range(1, MAX_LEVEL + 1):
             size = self._base + 8 * lvl
-            self._layouts[size] = ObjectLayout(size, 8)
+            self._layouts[size] = ObjectLayout(size)
         self._rng = random.Random(level_seed)
         self._head: list[Handle] = [0] * MAX_LEVEL
         self._levels = 0
@@ -175,9 +174,8 @@ class SkipList(PlacedContainer):
         if cand and self._nodes[cand].key == key:
             return False
         level = self._draw_level()
-        size = self._base + 8 * level
-        h = self._place(self._layouts[size], level, update)
-        node = _SkipNode(key, value, level, size)
+        h = self._place(self._layouts[self.block_bytes(level)], level, update)
+        node = _SkipNode(key, value, level)
         self._nodes[h] = node
         touch = self._space.touch_block
         for i in range(level):

@@ -13,8 +13,9 @@ trace replays at any cache size through :func:`replay_trace`.
 
 Handles are plain integer offsets into the address space (0 is the null
 handle); region membership is derivable from the offset alone.  Blocks are
-carved out of either region with first-fit free lists and never straddle a
-page boundary.
+carved out of either region with first-fit free lists, by size alone: a
+block takes the front of the lowest-addressed free extent it fits and never
+straddles a page boundary.
 """
 from __future__ import annotations
 
@@ -90,35 +91,26 @@ class FreeList:
         self._max = size
         self._stale = False
 
-    def allocate(self, size: int, align: int) -> int | None:
+    def allocate(self, size: int) -> int | None:
         if self._stale:
             self._max = max(self._sizes, default=0)
             self._stale = False
         if size > self._max:
             return None
+        # the largest extent is exact here, so the scan finds a fit
         starts, sizes = self._starts, self._sizes
-        mask = align - 1
-        for i, s in enumerate(starts):
-            astart = (s + mask) & ~mask
-            pad = astart - s
-            avail = sizes[i]
-            if pad + size <= avail:
-                tail = avail - pad - size
-                if pad:
-                    sizes[i] = pad
-                    if tail:
-                        starts.insert(i + 1, astart + size)
-                        sizes.insert(i + 1, tail)
-                elif tail:
-                    starts[i] = astart + size
-                    sizes[i] = tail
+        for i, avail in enumerate(sizes):
+            if size <= avail:
+                start = starts[i]
+                if size < avail:
+                    starts[i] = start + size
+                    sizes[i] = avail - size
                 else:
                     del starts[i]
                     del sizes[i]
                 if avail == self._max:
                     self._stale = True
-                return astart
-        return None
+                return start
 
     def free(self, start: int, size: int) -> None:
         starts, sizes = self._starts, self._sizes
@@ -199,36 +191,25 @@ class _ArrayFreeList:
         self._sizes[i:n - 1] = self._sizes[i + 1:n]
         self._n = n - 1
 
-    def allocate(self, size: int, align: int) -> int | None:
+    def allocate(self, size: int) -> int | None:
         n = self._n
         if self._stale:
             self._max = int(self._sizes[:n].max()) if n else 0
             self._stale = False
         if size > self._max:
             return None
-        starts = self._starts[:n]
-        sizes = self._sizes[:n]
-        fits = ((-starts) & (align - 1)) + size <= sizes
-        i = int(np.argmax(fits))
-        if not fits[i]:
-            return None
-        s = int(starts[i])
-        avail = int(sizes[i])
-        astart = (s + align - 1) & ~(align - 1)
-        pad = astart - s
-        tail = avail - pad - size
-        if pad:
-            self._sizes[i] = pad
-            if tail:
-                self._shift_in(i + 1, astart + size, tail)
-        elif tail:
-            self._starts[i] = astart + size
-            self._sizes[i] = tail
+        # the largest extent is exact here, so some extent fits
+        i = int(np.argmax(self._sizes[:n] >= size))
+        start = int(self._starts[i])
+        avail = int(self._sizes[i])
+        if size < avail:
+            self._starts[i] = start + size
+            self._sizes[i] = avail - size
         else:
             self._shift_out(i)
         if avail == self._max:
             self._stale = True
-        return astart
+        return start
 
     def free(self, start: int, size: int) -> None:
         n = self._n
@@ -287,9 +268,9 @@ class Space:
 
     # -- carving ---------------------------------------------------------
 
-    def carve_purely_local(self, size: int, align: int = 8) -> Handle:
-        self._check_carve(size, align)
-        h = self._local_free.allocate(size, align)
+    def carve_purely_local(self, size: int) -> Handle:
+        self._check_carve(size)
+        h = self._local_free.allocate(size)
         if h is None:
             raise CapacityExhausted(f"purely-local region cannot fit {size} bytes")
         self._blocks[h] = size
@@ -301,15 +282,15 @@ class Space:
         self._pages.append(_Page(SWAP_BASE + idx * self._page_size, self._page_size))
         return idx
 
-    def carve_in_page(self, page: PageId, size: int, align: int = 8) -> Handle:
-        self._check_carve(size, align)
+    def carve_in_page(self, page: PageId, size: int) -> Handle:
+        self._check_carve(size)
         if size > self._page_size:
             raise UsageError(f"block of {size} bytes cannot fit one page")
         try:
             rec = self._pages[page]
         except IndexError:
             raise UsageError(f"no such page: {page}") from None
-        h = rec.free.allocate(size, align)
+        h = rec.free.allocate(size)
         if h is None:
             raise CapacityExhausted(f"page {page} cannot fit {size} bytes")
         self._blocks[h] = size
@@ -317,11 +298,9 @@ class Space:
         return h
 
     @staticmethod
-    def _check_carve(size: int, align: int) -> None:
+    def _check_carve(size: int) -> None:
         if size <= 0:
             raise UsageError(f"block size must be positive, got {size}")
-        if align <= 0 or align & (align - 1):
-            raise UsageError(f"alignment must be a power of two, got {align}")
 
     def free(self, handle: Handle) -> int:
         """Return a carved block to its free list.  Gives back the block size."""

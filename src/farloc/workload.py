@@ -49,6 +49,10 @@ FNV64_PRIME = 0x100000001B3
 # a scan asks for 1 to SCAN_LEN_MAX pairs, drawn uniformly
 SCAN_LEN_MAX = 100
 
+# the most elements one numpy array can hold; a build draws all its values,
+# and a query script all its keys, as one array each
+MAX_ARRAY_LEN = np.iinfo(np.intp).max
+
 
 def fnv64_batch(values) -> np.ndarray:
     """FNV-1a of the eight little-endian bytes of each 64-bit unsigned
@@ -129,6 +133,9 @@ class BenchConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.value_size_bytes < 1:
             raise ConfigError(f"value size must be positive, got {self.value_size_bytes}")
+        if self.num_pairs * self.value_size_bytes > MAX_ARRAY_LEN:
+            raise ConfigError(f"{self.total_data_bytes} data bytes hold more value "
+                              "bytes than one numpy array can")
         # every cell takes a link census, and a container needs links: a
         # B-tree more than one node, a skip list more than one tower
         family = VARIANTS[self.variant][0]
@@ -159,8 +166,9 @@ class BenchConfig:
         # the range test rejects nan as well
         if not 0.0 <= self.update_ratio <= 1.0:
             raise ConfigError(f"update ratio must be in [0, 1], got {self.update_ratio}")
-        if self.num_queries < 0:
-            raise ConfigError(f"query count must be >= 0, got {self.num_queries}")
+        if not 0 <= self.num_queries <= MAX_ARRAY_LEN:
+            raise ConfigError(
+                f"query count must be in [0, {MAX_ARRAY_LEN}], got {self.num_queries}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

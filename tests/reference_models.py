@@ -79,30 +79,26 @@ class ReplayLru:
 class ByteMapFirstFit:
     """First-fit allocator over an explicit byte map.
 
-    An allocation returns the lowest aligned address whose whole extent is
-    free, which is exactly what scanning free segments in address order and
-    aligning up within each yields.
+    An allocation returns the lowest address whose whole extent is free,
+    which is exactly what taking the front of the first free segment, in
+    address order, that is long enough yields.
     """
 
     def __init__(self, base, size):
         self.base = base
         self.used = bytearray(size)
 
-    def allocate(self, size, align):
-        start = (-self.base) % align
-        while start + size <= len(self.used):
-            if not any(self.used[start:start + size]):
-                for i in range(start, start + size):
-                    self.used[i] = 1
-                return self.base + start
-            start += align
-        return None
+    def allocate(self, size):
+        start = self.used.find(bytes(size))     # the lowest free run of size
+        if start < 0:
+            return None
+        self.used[start:start + size] = b"\x01" * size
+        return self.base + start
 
     def free(self, addr, size):
         off = addr - self.base
         assert all(self.used[off:off + size]), "freeing unallocated bytes"
-        for i in range(off, off + size):
-            self.used[i] = 0
+        self.used[off:off + size] = bytes(size)
 
     def max_free(self):
         best = run = 0

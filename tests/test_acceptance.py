@@ -362,7 +362,7 @@ def test_a8_rearrangement_occupancy(lab, verdict):
 def _allocator_invariants():
     space = Space(SpaceConfig(4096, 8192, 8))
     alloc = CollectiveAllocator(space)
-    layouts = [ObjectLayout(s, 8) for s in (64, 160, 712)]
+    layouts = [ObjectLayout(s) for s in (64, 160, 712)]
     rng = random.Random(901)
     live = {}
     for step in range(400):

@@ -289,7 +289,7 @@ def test_dfs_sibling_falls_back_to_plain_when_the_parents_page_is_full():
     ref = alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
     root = relocate(tree, btree_root(tree), ref)
     filler = 4096 - tree.space.page_allocated_bytes(*owned_pages(alloc, ref))
-    alloc.sub_allocate(ref, 1, ObjectLayout(filler, 8))
+    alloc.sub_allocate(ref, 1, ObjectLayout(filler))
     before = set(tree.node_handles())
     for k in range(6, 9):
         tree.insert(k, b"v")

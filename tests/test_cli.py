@@ -180,6 +180,9 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
             (["--variant", "plain", "--variant", "local",
               "--l-percent", "1e15"], "1"),
             (["--l-percent", "1e308"], "1"),
+            # more values or queries than one numpy array can hold
+            (["--data-bytes", "65536", "--queries", str(10**20)], "1"),
+            (["--data-bytes", str(10**20)], "1"),
             ([], "abc"),
             ([], "1.5"),
             ([], "0"),

@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farloc.collective import (
     CollectiveAllocator,
@@ -10,12 +12,12 @@ from farloc.collective import (
     ObjectLayout,
     SubAllocatorRef,
 )
-from farloc.farmem import CapacityExhausted, Space, SpaceConfig, UsageError
-from reference_models import owned_pages
+from farloc.farmem import SWAP_BASE, CapacityExhausted, Space, SpaceConfig, UsageError
+from reference_models import ByteMapFirstFit, owned_pages, page_index
 
-L16 = ObjectLayout(16, 8)
-L160 = ObjectLayout(160, 8)
-L512 = ObjectLayout(512, 8)
+L16 = ObjectLayout(16)
+L160 = ObjectLayout(160)
+L512 = ObjectLayout(512)
 
 
 @pytest.fixture
@@ -104,7 +106,7 @@ def test_per_page_capacity_is_one_page(alloc):
 
 
 def test_purely_local_exhaustion(alloc):
-    alloc.sub_allocate(alloc.purely_local, 1, ObjectLayout(4000, 8))
+    alloc.sub_allocate(alloc.purely_local, 1, ObjectLayout(4000))
     with pytest.raises(CapacityExhausted):
         alloc.sub_allocate(alloc.purely_local, 1, L512)
 
@@ -120,9 +122,9 @@ def test_plain_allocation_is_unbounded(alloc):
 
 def test_plain_rejects_blocks_larger_than_a_page(alloc):
     with pytest.raises(UsageError):
-        alloc.sub_allocate(alloc.swappable_plain, 1, ObjectLayout(4097, 8))
+        alloc.sub_allocate(alloc.swappable_plain, 1, ObjectLayout(4097))
     with pytest.raises(UsageError):
-        alloc.sub_allocate(alloc.swappable_plain, 2, ObjectLayout(2049, 8))
+        alloc.sub_allocate(alloc.swappable_plain, 2, ObjectLayout(2049))
 
 
 def test_count_scales_the_block(alloc):
@@ -189,6 +191,36 @@ def test_emptied_pages_stay_owned_and_get_reused(alloc):
         owned_pages(alloc, ref)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 4096)), max_size=60))
+def test_plain_blocks_land_first_fit_over_pages_in_creation_order(ops):
+    """Blocks are placed by size alone: each plain block lands where first
+    fit over the pool's pages, oldest first, puts it, and at the base of a
+    new page when no page has room."""
+    space = Space(SpaceConfig(4096))
+    alloc = CollectiveAllocator(space)
+    pages = []          # one byte map per page, in creation order
+    live = []
+    for free, size in ops:
+        if free and live:
+            h, n = live.pop(size % len(live))
+            alloc.deallocate(h, 1, ObjectLayout(n))
+            pages[page_index(h, 4096)].free(h, n)
+            continue
+        h = alloc.sub_allocate(alloc.swappable_plain, 1, ObjectLayout(size))
+        for oracle in pages:
+            want = oracle.allocate(size)
+            if want is not None:
+                break
+        else:
+            oracle = ByteMapFirstFit(SWAP_BASE + 4096 * len(pages), 4096)
+            pages.append(oracle)
+            want = oracle.allocate(size)
+        assert h == want
+        live.append((h, size))
+    assert space.num_pages == len(pages)
+
+
 # -- occupancy -----------------------------------------------------------
 
 def test_occupancy_ratios(alloc):
@@ -201,16 +233,16 @@ def test_occupancy_ratios(alloc):
 
 def test_occupancy_threshold_is_strict(make_space):
     alloc = CollectiveAllocator(make_space(local_capacity=1000))
-    alloc.sub_allocate(alloc.purely_local, 1, ObjectLayout(700, 4))
+    alloc.sub_allocate(alloc.purely_local, 1, ObjectLayout(700))
     assert alloc.occupancy(alloc.purely_local) == 0.7
     assert not alloc.is_occupancy_under(alloc.purely_local, 0.7)
     assert alloc.is_occupancy_under(alloc.purely_local, 0.71)
 
     ref = alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
-    alloc.sub_allocate(ref, 1, ObjectLayout(2868, 4))      # just over 70 %
+    alloc.sub_allocate(ref, 1, ObjectLayout(2868))      # just over 70 %
     assert not alloc.is_occupancy_under(ref, 0.7)
     other = alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
-    alloc.sub_allocate(other, 1, ObjectLayout(2864, 4))    # just under
+    alloc.sub_allocate(other, 1, ObjectLayout(2864))    # just under
     assert alloc.is_occupancy_under(other, 0.7)
 
 
@@ -222,7 +254,7 @@ def test_zero_capacity_purely_local_counts_as_full(make_space):
 
 def test_occupancy_under_is_monotone_in_the_ratio(alloc):
     ref = alloc.get_suballocator_by_kind(Kind.NEW_PER_PAGE)
-    alloc.sub_allocate(ref, 1, ObjectLayout(1700, 8))
+    alloc.sub_allocate(ref, 1, ObjectLayout(1700))
     grid = [i / 20 for i in range(21)]
     answers = [alloc.is_occupancy_under(ref, r) for r in grid]
     assert answers == sorted(answers)       # False ... False True ... True
@@ -250,7 +282,7 @@ def test_allocated_bytes_match_a_shadow_ledger(alloc):
             ledger[ref] -= count * layout.size_bytes
         else:
             ref = rng.choice(refs)
-            layout = ObjectLayout(rng.choice([16, 24, 40, 64]), 8)
+            layout = ObjectLayout(rng.choice([16, 24, 40, 64]))
             count = rng.randrange(1, 4)
             try:
                 h = alloc.sub_allocate(ref, count, layout)
@@ -294,15 +326,15 @@ def test_hint_collocates_when_the_page_has_room(make_space):
 def test_hint_overrides_first_fit_page_order(make_space):
     halloc = HintAllocator(make_space())
     space = halloc.space
-    blocks = [halloc.allocate(1, ObjectLayout(1024, 8)) for _ in range(12)]
+    blocks = [halloc.allocate(1, ObjectLayout(1024)) for _ in range(12)]
     assert space.num_pages == 3
     on_page1 = next(h for h in blocks if space.page_of(h) == 1)
     on_page2, keep2 = [h for h in blocks if space.page_of(h) == 2][:2]
-    halloc.deallocate(on_page1, 1, ObjectLayout(1024, 8))
-    halloc.deallocate(on_page2, 1, ObjectLayout(1024, 8))
-    hinted = halloc.allocate(1, ObjectLayout(1024, 8), hint=keep2)
+    halloc.deallocate(on_page1, 1, ObjectLayout(1024))
+    halloc.deallocate(on_page2, 1, ObjectLayout(1024))
+    hinted = halloc.allocate(1, ObjectLayout(1024), hint=keep2)
     assert space.page_of(hinted) == 2       # hint beats the older hole
-    unhinted = halloc.allocate(1, ObjectLayout(1024, 8))
+    unhinted = halloc.allocate(1, ObjectLayout(1024))
     assert space.page_of(unhinted) == 1     # oldest page with room
 
 
@@ -333,9 +365,8 @@ ALLOCATORS = {"collective": _collective, "hint": _hint}
 
 BAD_REQUESTS = {
     "count-0": lambda allocate, deallocate, h: allocate(0, L16),
-    "zero-size": lambda allocate, deallocate, h: allocate(1, ObjectLayout(0, 8)),
-    "bad-align": lambda allocate, deallocate, h: allocate(1, ObjectLayout(16, 3)),
-    "oversize": lambda allocate, deallocate, h: allocate(1, ObjectLayout(4097, 8)),
+    "zero-size": lambda allocate, deallocate, h: allocate(1, ObjectLayout(0)),
+    "oversize": lambda allocate, deallocate, h: allocate(1, ObjectLayout(4097)),
     "wrong-size-free": lambda allocate, deallocate, h: deallocate(h, 1, L16),
     "count-0-free": lambda allocate, deallocate, h: deallocate(h, 0, L512),
 }
@@ -368,7 +399,7 @@ def test_hint_allocator_keeps_to_its_own_pages(make_space, where):
     space = make_space(local_capacity=4096, cache_pages=4)
     halloc = HintAllocator(space)
     foreign = FOREIGN_BLOCKS[where](space)
-    layout = ObjectLayout(64, 8)
+    layout = ObjectLayout(64)
     # a hint off the allocator's pages is not followed: first fit opens one
     h = halloc.allocate(1, layout, hint=foreign)
     assert space.page_of(h) not in (None, space.page_of(foreign))

@@ -80,14 +80,6 @@ def test_blocks_never_straddle_page_boundaries(make_space):
         except CapacityExhausted:
             continue
         assert page_index(h, 512) == page_index(h + size - 1, 512)
-        assert h % 8 == 0
-
-
-def test_alignment_is_honored(make_space):
-    space = make_space(local_capacity=4096)
-    space.carve_purely_local(3, align=1)
-    h = space.carve_purely_local(16, align=64)
-    assert h % 64 == 0
 
 
 def test_carve_errors(make_space):
@@ -95,8 +87,6 @@ def test_carve_errors(make_space):
     page = space.create_page()
     with pytest.raises(UsageError):
         space.carve_in_page(page, 0)
-    with pytest.raises(UsageError):
-        space.carve_in_page(page, 16, align=3)
     with pytest.raises(UsageError):
         space.carve_in_page(page, 4097)
     with pytest.raises(UsageError):
@@ -152,25 +142,22 @@ def test_freed_slot_is_reused_first_fit(make_space):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(
-    st.tuples(st.integers(0, 2), st.integers(1, 96),
-              st.sampled_from([1, 2, 4, 8, 16, 64])),
-    max_size=50))
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 96)), max_size=50))
 def test_free_list_variants_agree_with_byte_map(ops):
     """Both free-list representations must replay any carve/free sequence
     exactly like the obviously-correct byte-map allocator."""
     lists = [FreeList(4096, 512), _ArrayFreeList(4096, 512)]
     oracle = ByteMapFirstFit(4096, 512)
     live = []
-    for kind, size, align in ops:
+    for kind, size in ops:
         if kind == 2 and live:
             addr, sz = live.pop(size % len(live))
             oracle.free(addr, sz)
             for fl in lists:
                 fl.free(addr, sz)
         else:
-            want = oracle.allocate(size, align)
-            got = [fl.allocate(size, align) for fl in lists]
+            want = oracle.allocate(size)
+            got = [fl.allocate(size) for fl in lists]
             assert got == [want, want]
             if want is not None:
                 live.append((want, size))

@@ -305,21 +305,20 @@ def test_restore_values_refuses_a_changed_container(variant):
         container.restore_values(saved)
 
 
-def test_btree_grid_matches_the_recorded_fingerprints(monkeypatch):
-    """The benchmark's btree-grid sweep at seed 0, full size, through
-    ``run_sweep``: every cell's placement and measurement swap counts and
-    link ratios equal the fingerprints the benchmark recorded.  Its 21
-    (variant, L) pairs take 13 builds, and 8 of them take their placement
-    counts from a replayed build trace."""
+def _sweep_matches_the_recorded_fingerprints(monkeypatch, name):
+    """Run the benchmark workload ``name`` at seed 0, full size, through
+    ``run_sweep``; every cell's placement and measurement swap counts and
+    link ratios must equal the fingerprints the benchmark recorded.
+    Returns the number of builds the sweep made."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
-    wl = workloads.WORKLOADS["btree-grid"]
+    wl = workloads.WORKLOADS[name]
     sweep, _, _ = cli.parse_args(wl.farloc_args(0, "-"))
     recorded = json.loads((PERFBENCH / "fingerprints.json").read_text())
-    want = [fp[:8] for fp in recorded["btree-grid"]["0"]]
+    want = [fp[:8] for fp in recorded[name]["0"]]
     built = spy_builds(monkeypatch)
     got = []
     for r in cli.run_sweep(sweep, threads=1):
@@ -331,4 +330,17 @@ def test_btree_grid_matches_the_recorded_fingerprints(monkeypatch):
                     f"{links.in_page_ratio:.6f}",
                     f"{links.cross_page_ratio:.6f}"])
     assert got == want
-    assert len(built) == 13
+    return len(built)
+
+
+def test_btree_grid_matches_the_recorded_fingerprints(monkeypatch):
+    """The btree-grid sweep: its 21 (variant, L) pairs take 13 builds, and
+    8 of them take their placement counts from a replayed build trace."""
+    assert _sweep_matches_the_recorded_fingerprints(monkeypatch, "btree-grid") == 13
+
+
+@pytest.mark.parametrize(("name", "builds"), [("skiplist-full", 5), ("replay-writes", 3)])
+def test_every_cell_builds_and_matches_the_recorded_fingerprints(monkeypatch, name, builds):
+    """The other two benchmark sweeps: one build per cell.  With btree-grid
+    they put every variant's placement under a recorded fingerprint."""
+    assert _sweep_matches_the_recorded_fingerprints(monkeypatch, name) == builds

@@ -292,10 +292,10 @@ def test_hint_follows_the_key_order_predecessor(monkeypatch):
     slist = SkipList(halloc, SkipListVariant.HINT)
     for k in range(11):
         slist.insert(k, b"v")               # 11 * 192 bytes, all on page 0
-    filler = halloc.allocate(1, ObjectLayout(4096 - 11 * 192, 8))
+    filler = halloc.allocate(1, ObjectLayout(4096 - 11 * 192))
     slist.insert(100, b"v")                 # page 0 full: lands on page 1
     slist.insert(101, b"v")
-    halloc.deallocate(filler, 1, ObjectLayout(4096 - 11 * 192, 8))
+    halloc.deallocate(filler, 1, ObjectLayout(4096 - 11 * 192))
     # page 0 is the lowest page with room again, but the hint wins
     slist.insert(102, b"v")
     slist.insert(-5, b"v")                  # no predecessor: first-fit path

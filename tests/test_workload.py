@@ -127,7 +127,9 @@ def test_config_validation():
                 # half of L is purely-local: more than the address layout holds
                 dict(variant="local", l_percent=1e15),
                 # L% of the data overflows a float
-                dict(l_percent=1e308)):
+                dict(l_percent=1e308),
+                # more values or queries than one numpy array can hold
+                dict(num_queries=10**20), dict(total_data_bytes=10**20)):
         with pytest.raises(ConfigError):
             BenchConfig(**bad).validate()
     # the fewest pairs that give a link: ORDER for a B-tree, 2 for a skip list
