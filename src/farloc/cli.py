@@ -231,8 +231,8 @@ def main(argv=None) -> int:
             _write_reports(reports, out_path, report)
         except OSError as exc:
             raise FarlocError(f"cannot write the output: {exc}") from None
-    except FarlocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FarlocError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

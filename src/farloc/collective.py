@@ -34,18 +34,10 @@ class Kind(Enum):
 
 @dataclass(frozen=True)
 class SubAllocatorRef:
-    """Identity of one sub-allocator: kind plus instance id."""
+    """Identity of one sub-allocator: kind plus id, a per-page one's page."""
 
     kind: Kind
     id: int
-
-    def __post_init__(self):
-        # a per-page ref keys the allocator's ref -> page map on every
-        # allocation into it, so the hash is paid once here, not per lookup
-        object.__setattr__(self, "_hash", hash((self.kind, self.id)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True)
@@ -184,8 +176,6 @@ class CollectiveAllocator:
         self._purely_local = SubAllocatorRef(Kind.PURELY_LOCAL, 0)
         self._plain = SubAllocatorRef(Kind.SWAPPABLE_PLAIN, 0)
         self._page_owner: dict[PageId, SubAllocatorRef] = {}
-        self._ref_page: dict[SubAllocatorRef, PageId] = {}
-        self._next_page_id = 1
         self._plain_pool = _PagePool(space, self._claim_for_plain)
 
     def _claim_for_plain(self, page: PageId) -> None:
@@ -212,10 +202,8 @@ class CollectiveAllocator:
             return self._plain
         if kind is Kind.NEW_PER_PAGE:
             page = self._space.create_page()
-            ref = SubAllocatorRef(Kind.NEW_PER_PAGE, self._next_page_id)
-            self._next_page_id += 1
+            ref = SubAllocatorRef(Kind.NEW_PER_PAGE, page)
             self._page_owner[page] = ref
-            self._ref_page[ref] = page
             return ref
         raise UsageError(f"unknown sub-allocator kind: {kind!r}")
 
@@ -228,20 +216,20 @@ class CollectiveAllocator:
             raise UsageError(f"handle {handle:#x} is not managed by this allocator")
         return owner
 
-    def if_suballocator_contains(self, ref: SubAllocatorRef, handle: Handle) -> bool:
-        return self.get_suballocator_by_handle(handle) == ref
-
     def _known(self, ref: SubAllocatorRef) -> PageId | None:
         """The page a per-page ``ref`` owns, None for the two singletons;
         raises for a ref this allocator did not hand out."""
-        page = self._ref_page.get(ref)
-        if page is None and ref != self._purely_local and ref != self._plain:
-            raise UsageError(f"unknown sub-allocator {ref}")
-        return page
+        if ref.kind is Kind.NEW_PER_PAGE:
+            if self._page_owner.get(ref.id) == ref:
+                return ref.id
+        elif ref == self._purely_local or ref == self._plain:
+            return None
+        raise UsageError(f"unknown sub-allocator {ref}")
 
     # -- occupancy -------------------------------------------------------
 
     def allocated_bytes(self, ref: SubAllocatorRef) -> int:
+        """Bytes live in ``ref``; only the tests read it, their window on the ledgers."""
         page = self._known(ref)
         space = self._space
         if page is not None:
@@ -251,6 +239,7 @@ class CollectiveAllocator:
         return sum(map(space.page_allocated_bytes, self._plain_pool.pages))
 
     def occupancy(self, ref: SubAllocatorRef) -> float:
+        """Share of ``ref``'s capacity in use; the singletons' is for the tests."""
         page = self._known(ref)
         space = self._space
         if page is not None:
@@ -291,6 +280,7 @@ class CollectiveAllocator:
             self._plain_pool.refresh(page)
 
     def page_owner_map(self) -> dict[PageId, SubAllocatorRef]:
+        """Page -> owner; only the tests read it, their window on page ownership."""
         return dict(self._page_owner)
 
 

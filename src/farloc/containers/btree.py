@@ -77,8 +77,8 @@ class BTree(PlacedContainer):
     occupancy arithmetic is exact.
     """
 
-    _HINT = BTreeVariant.HINT
-    _LOCAL_VARIANTS = frozenset(
+    HINT = BTreeVariant.HINT
+    LOCAL_VARIANTS = frozenset(
         {BTreeVariant.LOCAL, BTreeVariant.LOCAL_DFS, BTreeVariant.LOCAL_VEB})
     _REARRANGING = frozenset(BTreeVariant) - {BTreeVariant.PLAIN, BTreeVariant.LOCAL}
 
@@ -86,48 +86,49 @@ class BTree(PlacedContainer):
         super().__init__(allocator, variant, value_slot)
         self._max_keys = ORDER - 1
         self._min_keys = (ORDER + 1) // 2 - 1
-        self._block = btree_block_bytes(value_slot)
-        self._layout = ObjectLayout(self._block)
-        self._layouts[self._block] = self._layout
+        block = btree_block_bytes(value_slot)
+        self._layout = ObjectLayout(block)
+        self._layouts[block] = self._layout
         self._root: Handle = 0
         self._height = 0
 
-    # -- basic properties ------------------------------------------------
-
-    @property
-    def node_block_bytes(self) -> int:
-        return self._block
-
     # -- queries ---------------------------------------------------------
 
-    def _find(self, key: int):
-        """(handle, node, index) of ``key``, or (0, None, 0) when it is
-        absent; every node of the descent is touched as a read."""
+    def _descend(self, key: int):
+        """The root-to-leaf path towards ``key``, touching nothing; the entry
+        ``(handle, index)`` that holds ``key``, or else its successor on that
+        path (None when it has none); and whether ``key`` was found."""
         nodes = self._nodes
-        touch = self._space.touch_block
+        path = []
+        at = None
         h = self._root
         while h:
             node = nodes[h]
-            touch(h, False)
+            path.append(h)
             keys = node.keys
             i = bisect_right(keys, key)
             if i and keys[i - 1] == key:
-                return h, node, i - 1
+                return path, (h, i - 1), True
+            if i < len(keys):
+                at = (h, i)
             if node.leaf:
                 break
             h = node.children[i]
-        return 0, None, 0
+        return path, at, False
 
     def search(self, key: int) -> bytes | None:
-        h, node, i = self._find(key)
-        return node.vals[i] if h else None
+        path, at, found = self._descend(key)
+        self._space.touch_blocks(path, False)
+        return self._nodes[at[0]].vals[at[1]] if found else None
 
     def update(self, key: int, value: bytes) -> bool:
         self._check_value(value)
-        h, node, i = self._find(key)
-        if not h:
+        path, at, found = self._descend(key)
+        self._space.touch_blocks(path, False)
+        if not found:
             return False
-        node.vals[i] = value
+        h, i = at
+        self._nodes[h].vals[i] = value
         self._space.touch_block(h, True)
         return True
 
@@ -138,22 +139,7 @@ class BTree(PlacedContainer):
             raise UsageError(f"scan length must be >= 1, got {length}")
         nodes = self._nodes
         # the walk only reads, so its touches are accounted in one batch
-        seen = []
-        h = self._root
-        at = None
-        while h:
-            node = nodes[h]
-            seen.append(h)
-            keys = node.keys
-            i = bisect_right(keys, key)
-            if i and keys[i - 1] == key:
-                at = (h, i - 1)
-                break
-            if i < len(keys):
-                at = (h, i)
-            if node.leaf:
-                break
-            h = node.children[i]
+        seen, at, _ = self._descend(key)
         out: list[tuple[int, bytes]] = []
         while at and len(out) < length:
             h, idx = at
@@ -413,7 +399,7 @@ class BTree(PlacedContainer):
                 yield h, c
 
     def validate(self) -> None:
-        """Assert every structural and placement invariant; test support."""
+        """Assert every structural and placement invariant; the tests' one full check."""
         nodes = self._nodes
         seen = self._check_priority_list()
         if not self._root:

@@ -33,8 +33,8 @@ OCCUPANCY_LIMIT = 0.7
 class PlacedContainer:
     """Allocator, priority list, eviction and relocation of a container.
 
-    Subclasses name their hint variant (``_HINT``), the variants with a
-    purely-local region (``_LOCAL_VARIANTS``) and those with a batch
+    Subclasses name their hint variant (``HINT``), the variants with a
+    purely-local region (``LOCAL_VARIANTS``) and those with a batch
     rearrangement (``_REARRANGING``), and map every block size they use to
     its ``ObjectLayout`` in ``_layouts``.
     """
@@ -42,7 +42,7 @@ class PlacedContainer:
     def __init__(self, allocator, variant, value_slot: int):
         if value_slot < 1:
             raise ConfigError(f"value slot must be positive, got {value_slot}")
-        if variant is self._HINT:
+        if variant is self.HINT:
             if not isinstance(allocator, HintAllocator):
                 raise ConfigError("hint variant needs a HintAllocator")
             self._alloc = None
@@ -56,7 +56,7 @@ class PlacedContainer:
         self._space = allocator.space
         self._variant = variant
         self._value_slot = value_slot
-        self._uses_local = variant in self._LOCAL_VARIANTS
+        self._uses_local = variant in self.LOCAL_VARIANTS
         self._layouts = {}
         self._nodes = {}
         self._size = 0
@@ -82,6 +82,7 @@ class PlacedContainer:
         return self._size
 
     def node_handles(self) -> list[Handle]:
+        """Every live node; only the tests read it, their window on the node set."""
         return list(self._nodes)
 
     def _check_value(self, value: bytes) -> None:

@@ -69,8 +69,8 @@ class _SkipNode:
 class SkipList(PlacedContainer):
     """Geometric-level skip list; duplicate-key inserts are no-ops."""
 
-    _HINT = SkipListVariant.HINT
-    _LOCAL_VARIANTS = frozenset({SkipListVariant.LOCAL, SkipListVariant.LOCAL_PAGE})
+    HINT = SkipListVariant.HINT
+    LOCAL_VARIANTS = frozenset({SkipListVariant.LOCAL, SkipListVariant.LOCAL_PAGE})
     _REARRANGING = frozenset(
         {SkipListVariant.HINT, SkipListVariant.PAGE, SkipListVariant.LOCAL_PAGE})
 
@@ -92,10 +92,6 @@ class SkipList(PlacedContainer):
 
     def block_bytes(self, level: int) -> int:
         return self._base + 8 * level
-
-    @property
-    def max_block_bytes(self) -> int:
-        return self._base + 8 * MAX_LEVEL
 
     def _draw_level(self) -> int:
         lvl = 1
@@ -288,7 +284,7 @@ class SkipList(PlacedContainer):
                     yield h, t
 
     def validate(self) -> None:
-        """Assert every structural and placement invariant; test support."""
+        """Assert every structural and placement invariant; the tests' one full check."""
         nodes = self._nodes
         seq = []
         prev_key = None

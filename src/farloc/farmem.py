@@ -232,13 +232,6 @@ class _ArrayFreeList:
         if not self._stale and merged > self._max:
             self._max = merged
 
-    def max_free(self) -> int:
-        if self._stale:
-            n = self._n
-            self._max = int(self._sizes[:n].max()) if n else 0
-            self._stale = False
-        return self._max
-
 
 class _Page:
     __slots__ = ("free", "allocated")

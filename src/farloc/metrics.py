@@ -57,10 +57,3 @@ def link_composition(container) -> LinkComposition:
         in_page / total,
         (total - purely_local - in_page) / total,
     )
-
-
-def parent_page_mismatch_fraction(tree) -> float:
-    """Fraction of non-root B-tree nodes on a different page from their
-    parent; both ends purely-local counts as a match, so a mismatch is
-    exactly a cross-page link."""
-    return link_composition(tree).cross_page_ratio

@@ -86,25 +86,26 @@ class ZipfSampler:
         return np.searchsorted(self._cdf, u, side="right") + 1
 
 
-# name -> (container family, variant, uses purely-local region)
-VARIANTS: dict[str, tuple[str, object, bool]] = {
-    "plain": ("btree", BTreeVariant.PLAIN, False),
-    "hint": ("btree", BTreeVariant.HINT, False),
-    "local": ("btree", BTreeVariant.LOCAL, True),
-    "dfs": ("btree", BTreeVariant.DFS, False),
-    "local+dfs": ("btree", BTreeVariant.LOCAL_DFS, True),
-    "veb": ("btree", BTreeVariant.VEB, False),
-    "local+veb": ("btree", BTreeVariant.LOCAL_VEB, True),
-    "skip-plain": ("skiplist", SkipListVariant.PLAIN, False),
-    "skip-hint": ("skiplist", SkipListVariant.HINT, False),
-    "skip-local": ("skiplist", SkipListVariant.LOCAL, True),
-    "skip-page": ("skiplist", SkipListVariant.PAGE, False),
-    "skip-local+page": ("skiplist", SkipListVariant.LOCAL_PAGE, True),
+# name -> (container class, variant); the class names its local and hint variants
+VARIANTS: dict[str, tuple[type, object]] = {
+    "plain": (BTree, BTreeVariant.PLAIN),
+    "hint": (BTree, BTreeVariant.HINT),
+    "local": (BTree, BTreeVariant.LOCAL),
+    "dfs": (BTree, BTreeVariant.DFS),
+    "local+dfs": (BTree, BTreeVariant.LOCAL_DFS),
+    "veb": (BTree, BTreeVariant.VEB),
+    "local+veb": (BTree, BTreeVariant.LOCAL_VEB),
+    "skip-plain": (SkipList, SkipListVariant.PLAIN),
+    "skip-hint": (SkipList, SkipListVariant.HINT),
+    "skip-local": (SkipList, SkipListVariant.LOCAL),
+    "skip-page": (SkipList, SkipListVariant.PAGE),
+    "skip-local+page": (SkipList, SkipListVariant.LOCAL_PAGE),
 }
 
 
 def variant_uses_local(name: str) -> bool:
-    return VARIANTS[name][2]
+    cls, variant = VARIANTS[name]
+    return variant in cls.LOCAL_VARIANTS
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ class BenchConfig:
                               "bytes than one numpy array can")
         # every cell takes a link census, and a container needs links: a
         # B-tree more than one node, a skip list more than one tower
-        family = VARIANTS[self.variant][0]
+        family = "btree" if VARIANTS[self.variant][0] is BTree else "skiplist"
         least = ORDER if family == "btree" else 2
         if self.num_pairs < least:
             raise ConfigError(
@@ -305,15 +306,14 @@ def _build(cfg: BenchConfig, trace: array | None = None):
     """A fresh placement; with ``trace``, its page touches are appended
     there as :func:`replay_trace` reads them.  A sink the space already had
     gets the same touches, in order, when the build ends."""
-    family, variant, uses_local = VARIANTS[cfg.variant]
+    cls, variant = VARIANTS[cfg.variant]
     pl_bytes, cache_pages = local_budget(cfg)
     space = Space(SpaceConfig(cfg.page_size_bytes, pl_bytes, cache_pages))
     if trace is not None:
         outer = space.set_trace(trace)
-    hinted = variant in (BTreeVariant.HINT, SkipListVariant.HINT)
-    allocator = HintAllocator(space) if hinted else CollectiveAllocator(space)
+    allocator = HintAllocator(space) if variant is cls.HINT else CollectiveAllocator(space)
     value_slot = cfg.pair_size_bytes - 8
-    if family == "btree":
+    if cls is BTree:
         container = BTree(allocator, variant, value_slot=value_slot)
     else:
         container = SkipList(allocator, variant, value_slot=value_slot,

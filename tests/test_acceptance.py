@@ -29,9 +29,10 @@ from farloc.cli import main
 from farloc.collective import (CollectiveAllocator, HintAllocator, Kind,
                                ObjectLayout)
 from farloc.containers import (OCCUPANCY_LIMIT, BTree, BTreeVariant, SkipList,
-                               SkipListVariant)
+                               btree_block_bytes, tower_block_bytes)
+from farloc.containers.skiplist import MAX_LEVEL
 from farloc.farmem import Space, SpaceConfig
-from farloc.metrics import link_composition, parent_page_mismatch_fraction
+from farloc.metrics import link_composition
 from farloc.workload import (VARIANTS, BenchConfig, build_placement,
                              local_budget, placement_keys, query_script,
                              run_benchmark, run_queries, variant_uses_local)
@@ -70,15 +71,17 @@ class SweepLab:
         return replace(BASE, variant=variant, l_percent=l,
                        alpha=alpha, update_ratio=u)
 
+    @staticmethod
+    def _max_block(container):
+        slot = BASE.pair_size_bytes - 8
+        return (btree_block_bytes(slot) if isinstance(container, BTree)
+                else tower_block_bytes(MAX_LEVEL, slot))
+
     def _note_occupancy(self, label, container):
         alloc = container._alloc
         if alloc is None or not container.has_rearrangement:
             return
-        if isinstance(container, BTree):
-            block = container.node_block_bytes
-        else:
-            block = container.max_block_bytes
-        bound = OCCUPANCY_LIMIT + block / BASE.page_size_bytes
+        bound = OCCUPANCY_LIMIT + self._max_block(container) / BASE.page_size_bytes
         occs = [alloc.occupancy(ref)
                 for ref in set(alloc.page_owner_map().values())
                 if ref.kind is Kind.NEW_PER_PAGE]
@@ -88,9 +91,7 @@ class SweepLab:
     def _capture(self, variant, l, container):
         self._links[(variant, l)] = link_composition(container)
         self._note_occupancy(f"{variant} L={l:g}", container)
-        block = (container.node_block_bytes if isinstance(container, BTree)
-                 else container.max_block_bytes)
-        self._meta[(variant, l)] = (container.node_count, block)
+        self._meta[(variant, l)] = (container.node_count, self._max_block(container))
 
     def _ensure_traced(self, variant):
         if variant in self._traces:
@@ -171,11 +172,10 @@ def lab():
 # -- A1: contents oracle across every variant ----------------------------
 
 def _oracle_run(name, n_ops=100_000, check_every=20_000, rearrange_at=50_000):
-    family, variant, uses_local = VARIANTS[name]
-    space = Space(SpaceConfig(4096, 262_144 if uses_local else 0, 64))
-    hinted = variant in (BTreeVariant.HINT, SkipListVariant.HINT)
-    alloc = HintAllocator(space) if hinted else CollectiveAllocator(space)
-    if family == "btree":
+    cls, variant = VARIANTS[name]
+    space = Space(SpaceConfig(4096, 262_144 if variant_uses_local(name) else 0, 64))
+    alloc = HintAllocator(space) if variant is cls.HINT else CollectiveAllocator(space)
+    if cls is BTree:
         container = BTree(alloc, variant)
     else:
         container = SkipList(alloc, variant, level_seed=17)
@@ -234,7 +234,8 @@ def test_a2_hint_insert_mismatch(verdict):
     buf = bytes(vs)
     for key in placement_keys(cfg).tolist():
         tree.insert(key, buf)
-    frac = parent_page_mismatch_fraction(tree)
+    # a parent/child pair on two pages is exactly a cross-page link
+    frac = link_composition(tree).cross_page_ratio
     verdict("A2", frac >= 0.80,
             f"insert-only hint B-tree parent/child page mismatch = {frac:.3f} "
             "(>= 0.80 required)")
@@ -384,14 +385,14 @@ def _allocator_invariants():
                 continue
             live[h] = layout
             owner = alloc.get_suballocator_by_handle(h)
-            assert alloc.if_suballocator_contains(owner, h)
+            assert alloc.get_suballocator_by_handle(h) == owner
         if step % 50 == 49:
             # ownership partition: every page has exactly one owner
             owners = alloc.page_owner_map()
             for h in live:
                 page = space.page_of(h)
                 if page is not None:
-                    assert alloc.if_suballocator_contains(owners[page], h)
+                    assert alloc.get_suballocator_by_handle(h) == owners[page]
             # conservation: per-owner byte totals match the live set
             by_owner = {}
             for h, layout in live.items():

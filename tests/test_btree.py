@@ -9,7 +9,7 @@ import pytest
 
 from farloc.collective import (CollectiveAllocator, HintAllocator, Kind,
                                ObjectLayout)
-from farloc.containers import OCCUPANCY_LIMIT, BTree, BTreeVariant
+from farloc.containers import OCCUPANCY_LIMIT, BTree, BTreeVariant, btree_block_bytes
 from farloc.farmem import ConfigError, Space, SpaceConfig, UsageError
 from reference_models import (btree_height, btree_root, grouped, owned_pages,
                               tree_depths)
@@ -54,7 +54,9 @@ def test_config_errors():
 
 def test_node_block_size():
     tree = make_tree(BTreeVariant.PLAIN)
-    assert tree.node_block_bytes == NODE
+    tree.insert(1, b"v")
+    assert btree_block_bytes(152) == NODE
+    assert [tree.space.block_size(h) for h in tree.node_handles()] == [NODE]
 
 
 # -- empty and small trees ----------------------------------------------

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from farloc import cli
+from farloc import cli, workload
 from farloc.cli import (LINKS_HEADER, SWAPS_HEADER, SweepSpec, main,
                         parse_args, run_sweep)
 from farloc.workload import BenchConfig
@@ -225,6 +225,21 @@ def test_a_failed_write_ends_in_error_exit_1(tmp_path, capsys, monkeypatch):
     rc = main(TINY + ["--report", "both", "--out", str(tmp_path / "r.csv")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: cannot write the output")
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 960. GiB for an array"),
+     "error: Unable to allocate 960. GiB for an array\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_an_allocation_that_fails_ends_in_error_exit_1(capsys, monkeypatch,
+                                                        exc, message):
+    def no_memory(cfg, trace=None):
+        raise exc
+
+    monkeypatch.setattr(workload, "_build", no_memory)
+    assert main(TINY) == 1
+    assert capsys.readouterr().err == message
 
 
 def test_thread_fanout_matches_serial(tmp_path, monkeypatch):

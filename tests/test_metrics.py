@@ -6,8 +6,7 @@ import pytest
 from farloc.collective import CollectiveAllocator
 from farloc.containers import BTree, BTreeVariant, SkipList, SkipListVariant
 from farloc.farmem import Space, SpaceConfig, UsageError
-from farloc.metrics import (LinkClass, classify_link, link_composition,
-                            parent_page_mismatch_fraction)
+from farloc.metrics import LinkClass, classify_link, link_composition
 
 
 def two_pages(space):
@@ -98,38 +97,17 @@ def test_composition_on_synthesized_links():
             comp.cross_page_ratio) == (0.25, 0.25, 0.5)
 
 
-# -- parent_page_mismatch_fraction ---------------------------------------
+# -- the cross-page ratio as A2's parent/child page mismatch --------------
 
 def test_mismatch_fraction_on_synthesized_trees():
     space = Space(SpaceConfig(4096, 8192, 4))
     l1, l2 = (space.carve_purely_local(64) for _ in range(2))
     a, b, c = two_pages(space)
-    assert parent_page_mismatch_fraction(
-        FakeContainer(space, [(a, b)])) == 0.0
-    assert parent_page_mismatch_fraction(
-        FakeContainer(space, [(a, c), (c, a)])) == 1.0
-    assert parent_page_mismatch_fraction(
-        FakeContainer(space, [(l1, l2)])) == 0.0    # both local: a match
-    assert parent_page_mismatch_fraction(
-        FakeContainer(space, [(l1, a), (a, b)])) == 0.5
 
+    def mismatch(links):
+        return link_composition(FakeContainer(space, links)).cross_page_ratio
 
-def test_mismatch_fraction_needs_links():
-    space = Space(SpaceConfig(4096, 0, 4))
-    tree = BTree(CollectiveAllocator(space), BTreeVariant.PLAIN)
-    tree.insert(1, b"v")
-    with pytest.raises(UsageError):
-        parent_page_mismatch_fraction(tree)
-
-
-def test_mismatch_fraction_agrees_with_composition_for_plain_trees():
-    # without purely-local nodes, a mismatch is exactly a cross-page link
-    space = Space(SpaceConfig(4096, 0, 32))
-    tree = BTree(CollectiveAllocator(space), BTreeVariant.DFS)
-    rng = random.Random(13)
-    for _ in range(600):
-        tree.insert(rng.randrange(100_000), b"v")
-    tree.make_page_aware()
-    comp = link_composition(tree)
-    assert parent_page_mismatch_fraction(tree) == \
-        pytest.approx(comp.cross_page_ratio)
+    assert mismatch([(a, b)]) == 0.0
+    assert mismatch([(a, c), (c, a)]) == 1.0
+    assert mismatch([(l1, l2)]) == 0.0    # both local: a match
+    assert mismatch([(l1, a), (a, b)]) == 0.5

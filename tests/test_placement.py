@@ -12,7 +12,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
 from farloc.collective import CollectiveAllocator
-from farloc.containers import BTree, BTreeVariant, SkipList, SkipListVariant
+from farloc.containers import (BTree, BTreeVariant, SkipList, SkipListVariant,
+                               btree_block_bytes, tower_block_bytes)
 from farloc.farmem import Space, SpaceConfig
 
 VALUE_SLOT = 8
@@ -28,13 +29,9 @@ class TinyLocalBudget(RuleBasedStateMachine):
                 cache_pages=st.integers(0, 4), level_seed=st.integers(0, 1000))
     def build(self, variant, blocks, cache_pages, level_seed):
         if isinstance(variant, BTreeVariant):
-            probe = BTree(CollectiveAllocator(Space(SpaceConfig())), variant,
-                          value_slot=VALUE_SLOT)
-            block = probe.node_block_bytes
+            block = btree_block_bytes(VALUE_SLOT)
         else:
-            probe = SkipList(CollectiveAllocator(Space(SpaceConfig())), variant,
-                             value_slot=VALUE_SLOT)
-            block = probe.block_bytes(1)
+            block = tower_block_bytes(1, VALUE_SLOT)
         space = Space(SpaceConfig(4096, blocks * block, cache_pages))
         if isinstance(variant, BTreeVariant):
             self.c = BTree(CollectiveAllocator(space), variant, value_slot=VALUE_SLOT)

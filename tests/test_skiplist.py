@@ -57,7 +57,7 @@ def test_block_size_arithmetic():
     slist = make_list(SkipListVariant.PLAIN)
     assert slist.block_bytes(1) == 192
     assert slist.block_bytes(3) == 208
-    assert slist.max_block_bytes == BASE + 8 * 20
+    assert slist.block_bytes(skiplist.MAX_LEVEL) == BASE + 8 * 20
 
 
 def test_rearrangement_flags():
@@ -329,7 +329,7 @@ def test_page_sweep_groups_the_chain_and_bounds_occupancy():
     assert slist.items() == sorted(ref.items())
     assert created
     assert grouped(slist.space.page_of(h) for h in skiplist_chain(slist))
-    bound = OCCUPANCY_LIMIT + slist.max_block_bytes / 4096
+    bound = OCCUPANCY_LIMIT + slist.block_bytes(skiplist.MAX_LEVEL) / 4096
     alloc = slist._alloc
     assert all(alloc.occupancy(ref_) < bound for ref_ in created)
 
@@ -345,7 +345,7 @@ def test_local_page_sweep_skips_the_purely_local_prefix():
     swapped = [slist.space.page_of(h) for h in skiplist_chain(slist)
                if h not in local_before]
     assert grouped(swapped)
-    bound = OCCUPANCY_LIMIT + slist.max_block_bytes / 4096
+    bound = OCCUPANCY_LIMIT + slist.block_bytes(skiplist.MAX_LEVEL) / 4096
     alloc = slist._alloc
     assert all(alloc.occupancy(ref_) < bound for ref_ in created)
 

@@ -2,10 +2,11 @@
 
 Every swap statistic, CSV row and acceptance verdict follows from the
 sequence of ``(page, is_write)`` page touches a container makes.  These
-tests pin that sequence, through build and replay and through point
-searches after the build, as a count and a SHA-256, so a change meant to
-speed up the touch path or the containers without changing what they touch
-shows here first when it does change it.
+tests pin that sequence, through build and replay, through point searches
+after the build and through B-tree updates and scans at keys that are not
+stored, as a count and a SHA-256, so a change meant to speed up the touch
+path or the containers without changing what they touch shows here first
+when it does change it.
 """
 import hashlib
 import struct
@@ -13,9 +14,10 @@ import struct
 import pytest
 
 from farloc import workload
+from farloc.containers import BTree
 from farloc.farmem import Space
-from farloc.workload import (VARIANTS, BenchConfig, build_placement,
-                             query_script, run_benchmark)
+from farloc.workload import (SCAN_LEN_MAX, VARIANTS, BenchConfig,
+                             build_placement, query_script, run_benchmark)
 
 CONFIG = dict(total_data_bytes=64 * 1024, l_percent=25.0, alpha=0.8,
               update_ratio=0.5, num_queries=300, seed=0)
@@ -52,6 +54,19 @@ EXPECTED_SEARCH = {
     "skip-local": (2087, "a1f124f3b8f96ae1b8e734971b840158e0a4007dcdeed11284ecda234a10ab94"),
     "skip-page": (4928, "584e3fcfd7078d313d8becc6013b408b70959a6628fdd7b8cbbb1ee3f3e7dacb"),
     "skip-local+page": (2087, "31256599d2be70970b971a3a43d83788e2825dacfcba34bba4fe271220a78d2b"),
+}
+
+
+# B-tree variant -> (page touches, SHA-256) of 300 updates and 300 scans after
+# the build, each at a key that is not stored
+EXPECTED_MISS = {
+    "plain": (14201, "f95664ff4f1e09de3d35571fc5c871db12071802d8c05dababde16b410abf0de"),
+    "hint": (14201, "8333202308883ad4d5c313aeab9bde120b7b65c0e8958507bf5244cbdb0a27a0"),
+    "local": (11099, "af3e76212a316ccf49d5990b372a7285c211853fbcccc4352fd57e10f38b2141"),
+    "dfs": (14201, "0bb59103f38b2ac835e20ab812cd880b1f3c0e8a68db030debd47e28837fdb35"),
+    "local+dfs": (11099, "97bee5f8146f7268bc867cc61cfec7ad3309634c67047db25ed3b22b5c311290"),
+    "veb": (14201, "a02a3eb0409ff0abe5327f41248c2380a0b4bcd51de40d3cf356e47818ebf0c4"),
+    "local+veb": (11099, "1a297ddc19f4243f345af9c9d808942ff025a68c22a40a7fcc4752bfb5e4ee71"),
 }
 
 
@@ -102,3 +117,23 @@ def search_traffic(variant: str) -> tuple[int, str]:
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_search_traffic_is_pinned(variant):
     assert search_traffic(variant) == EXPECTED_SEARCH[variant]
+
+
+def miss_traffic(variant: str) -> tuple[int, str]:
+    cfg = BenchConfig(variant=variant, **CONFIG)
+    container, space = build_placement(cfg)
+    sink = _DigestSink()
+    space.set_trace(sink)
+    value = bytes(cfg.value_size_bytes)
+    for i, op in enumerate(query_script(cfg)):
+        # a stored key plus one is never stored at this size
+        key = op.key + 1
+        assert not container.update(key, value)
+        pairs = container.scan(key, i % SCAN_LEN_MAX + 1)
+        assert all(k > key for k, _ in pairs)
+    return sink.n, sink.sha.hexdigest()
+
+
+@pytest.mark.parametrize("variant", [n for n in VARIANTS if VARIANTS[n][0] is BTree])
+def test_btree_miss_traffic_is_pinned(variant):
+    assert miss_traffic(variant) == EXPECTED_MISS[variant]

@@ -90,8 +90,8 @@ def test_variant_table_shape():
     assert len(VARIANTS) == 12
     assert {n for n in VARIANTS if variant_uses_local(n)} == \
         {"local", "local+dfs", "local+veb", "skip-local", "skip-local+page"}
-    assert sum(1 for f, _, _ in VARIANTS.values() if f == "btree") == 7
-    assert sum(1 for f, _, _ in VARIANTS.values() if f == "skiplist") == 5
+    assert sum(1 for cls, _ in VARIANTS.values() if cls is BTree) == 7
+    assert sum(1 for cls, _ in VARIANTS.values() if cls is SkipList) == 5
 
 
 def test_pair_arithmetic():
@@ -216,7 +216,7 @@ def test_seed_changes_the_script():
 def test_build_places_every_pair(variant):
     cfg = BenchConfig(variant=variant, **SMALL)
     container, space = build_placement(cfg)
-    expect = BTree if VARIANTS[variant][0] == "btree" else SkipList
+    expect = VARIANTS[variant][0]
     assert isinstance(container, expect)
     assert len(container) == cfg.num_pairs
     keys = placement_keys(cfg)
