@@ -15,10 +15,14 @@ own ``PlacementReuse`` scope, handed the group's cells.  Its first cell
 builds the placement, recording the build's page trace when a later cell
 needs another cache size.  The others get the placement back with its
 values restored, an empty cache and the placement counters of their own L,
-held from the build or replayed from that trace.  A group of one cell keeps
-nothing.  With one worker the groups run one after another in this process;
-FARLOC_THREADS > 1 maps them over a process pool of at most one worker per
-group and per CPU.  Either way rows come back in sweep order.
+held from the build or replayed from that trace.  The queries run once per
+(placement, mix), where the mix is the skew, update ratio and query count:
+a cell whose placement and mix an earlier cell ran at another cache size
+gets its measurement counters from a replay of that run's page trace.  A
+group of one cell keeps nothing.  With one worker the groups run one after
+another in this process; FARLOC_THREADS > 1 maps them over a process pool
+of at most one worker per group and per CPU this process may run on.
+Either way rows come back in sweep order.
 When a key's cells are not contiguous in the sweep (a repeated
 ``--l-percent``), they still run together, so the cells run in group order,
 not sweep order.  The output paths, FARLOC_THREADS and every cell are
@@ -123,14 +127,22 @@ def _run_cells(cells: list[BenchConfig]) -> list[BenchReport]:
         return [run_benchmark(cell) for cell in cells]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, which ``os.cpu_count`` ignores."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[BenchReport]:
     """One report per cell, in sweep order.  The cells are grouped by build
     key and each group runs in one reuse scope, so each key is built once.
     threads=None reads FARLOC_THREADS (default 1); below 1 is an error.  One
     worker runs the groups in turn in this process, more map them over a
     process pool.  The pool starts all its workers at once under fork, so it
-    never gets more workers than groups or CPUs.  Every cell is validated
-    first."""
+    never gets more workers than groups or CPUs this process may use.
+    Every cell is validated first."""
     cells = spec.cells()
     for cell in cells:
         cell.validate()
@@ -146,7 +158,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[BenchReport]:
     groups: dict[tuple, list[int]] = {}
     for i, cell in enumerate(cells):
         groups.setdefault(build_key(cell), []).append(i)
-    workers = min(threads, len(groups), os.cpu_count() or 1)
+    workers = min(threads, len(groups), _usable_cpus())
     reports: list[BenchReport] = [None] * len(cells)
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:

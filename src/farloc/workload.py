@@ -19,17 +19,22 @@ lengths, keeping variants and update mixes comparable cell by cell.
 Placement reads none of the skew, the update mix, the query count or the
 page-cache size, so cells that differ only in those have one build key
 (:func:`build_key`); for a variant without a purely-local region that is
-one key at every L.  A :class:`PlacementReuse` scope, planned with the
-cells it will run, builds each key once and gives the placement back,
-restored, to the key's other cells.  A cell at another cache size gets its
-placement counters from a replay of the build's page trace
-(:func:`farloc.farmem.replay_trace`): under strict LRU the swap-ins and
-write-backs at any capacity follow from the page-reference string alone.
+one key at every L.  The query script reads the build key's fields and the
+mix (skew, update ratio, query count) and never the cache, so one
+(placement, mix) pair makes one page trace at every cache size.  A
+:class:`PlacementReuse` scope, planned with the cells it will run, builds
+each key once and gives the placement back, restored, to the key's other
+cells, and runs each mix's queries once per placement.  A cell at another
+cache size gets its placement and measurement counters from replays of the
+build's and the queries' page traces (:func:`farloc.farmem.replay_trace`):
+under strict LRU the swap-ins and write-backs at any capacity follow from
+the page-reference string alone (Mattson et al., 1970).
 """
 from __future__ import annotations
 
 import math
 from array import array
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -221,9 +226,32 @@ def build_key(cfg: BenchConfig) -> tuple:
             cfg.page_size_bytes, cfg.seed, local_budget(cfg)[0])
 
 
+def _plan_entry(cfg: BenchConfig) -> tuple:
+    """(build key, mix, cache pages) of a cell.  The mix is what the query
+    script reads beyond the build key."""
+    return (build_key(cfg), (cfg.alpha, cfg.update_ratio, cfg.num_queries),
+            local_budget(cfg)[1])
+
+
+class _Counters:
+    """The swap counters a run left at each cache size asked for so far.
+    With the run's page trace, any other cache size replays from it."""
+
+    def __init__(self, cache: int, stats: SwapStats, trace: array | None):
+        self._stats = {cache: stats}
+        self._trace = trace
+
+    def at(self, cache: int) -> SwapStats | None:
+        if cache not in self._stats:
+            if self._trace is None:
+                return None
+            self._stats[cache] = replay_trace(self._trace, cache)
+        return self._stats[cache]
+
+
 class PlacementReuse:
     """A scope, opened as a context manager, that builds each placement of a
-    plan once.
+    plan once and runs each of its mixes' queries once.
 
     The plan is the cells the caller is about to run inside the scope.  A
     build that a cell still to come shares keeps its container, space,
@@ -236,12 +264,19 @@ class PlacementReuse:
     reads only the counters before :func:`run_benchmark` drops the cache,
     and the link census touches nothing.  Query replay changes nothing
     else, because an update rewrites a value in place and a scan only reads.
-    The scope holds one placement.  Any other call builds afresh, so reuse
+
+    The measurement phase is kept the same way, per mix of the held
+    placement: its counters, and its query trace when a cell still to come
+    has the key and mix at another cache size.  Such a cell gets its
+    measurement counters from the held ones or from a replay of that trace,
+    which starts from an empty cache and ends without a flush, as the
+    measurement phase does; its queries do not run.  The scope holds one
+    placement.  Any other call builds afresh and runs its queries, so reuse
     is correct in any call order.
     """
 
     def __init__(self, cells):
-        self._todo = [(build_key(c), local_budget(c)[1]) for c in cells]
+        self._todo = [_plan_entry(c) for c in cells]
         self._key = None
         self._held = None
         self._token = None
@@ -254,36 +289,58 @@ class PlacementReuse:
         _active_reuse.reset(self._token)
         self._key = self._held = None
 
+    def _later(self, key, mix=None) -> set[int]:
+        """The cache sizes of the planned cells still to come that have
+        ``key`` (and ``mix``, when given)."""
+        return {c for k, m, c in self._todo if k == key and mix in (None, m)}
+
     def placement(self, cfg: BenchConfig):
-        key, cache = build_key(cfg), local_budget(cfg)[1]
-        if (key, cache) in self._todo:
-            self._todo.remove((key, cache))
+        entry = key, _, cache = _plan_entry(cfg)
+        if entry in self._todo:
+            self._todo.remove(entry)
         if key == self._key:
             placement = self._restore(cache)
             if placement is not None:
                 return placement
         # drop the held placement first: the scope never holds two
         self._key = self._held = None
-        later = {c for k, c in self._todo if k == key}
+        later = self._later(key)
         trace = array("i") if later - {cache} else None
         container, space = _build(cfg, trace)
         if later:
             self._key = key
             self._held = (container, space, container.save_values(),
-                          {cache: space.stats()}, trace)
+                          _Counters(cache, space.stats(), trace), {})
         return container, space
 
     def _restore(self, cache: int):
         """The held placement with the placement counters of a ``cache``-page
         cache, or None when they are neither held nor replayable."""
-        container, space, values, stats, trace = self._held
-        if cache not in stats:
-            if trace is None:
-                return None
-            stats[cache] = replay_trace(trace, cache)
+        container, space, values, placed, _ = self._held
+        stats = placed.at(cache)
+        if stats is None:
+            return None
         container.restore_values(values)
-        space.restore(stats[cache], cache)
+        space.restore(stats, cache)
         return container, space
+
+    def measurement(self, cfg: BenchConfig, container, space) -> SwapStats:
+        """The measurement counters of ``cfg`` on the placement
+        :meth:`placement` just gave it: held, replayed, or from its queries."""
+        key, mix, cache = _plan_entry(cfg)
+        if key != self._key:
+            return _measure(cfg, container, space)
+        measured = self._held[4]
+        if mix in measured:
+            stats = measured[mix].at(cache)
+            if stats is not None:
+                return stats
+        later = self._later(key, mix)
+        trace = array("i") if later - {cache} else None
+        stats = _measure(cfg, container, space, trace)
+        if later:
+            measured[mix] = _Counters(cache, stats, trace)
+        return stats
 
 
 _active_reuse: ContextVar[PlacementReuse | None] = ContextVar(
@@ -302,35 +359,45 @@ def build_placement(cfg: BenchConfig):
     return reuse.placement(cfg)
 
 
+@contextmanager
+def _recording(space: Space, trace: array | None):
+    """With ``trace``, the page touches made in the block are appended there
+    as :func:`replay_trace` reads them, and a sink the space already had
+    gets the same touches, in order, when the block ends."""
+    if trace is None:
+        yield
+        return
+    outer = space.set_trace(trace)
+    yield
+    space.set_trace(outer)
+    if outer is not None:
+        for code in trace:
+            outer.append(code)
+
+
 def _build(cfg: BenchConfig, trace: array | None = None):
-    """A fresh placement; with ``trace``, its page touches are appended
-    there as :func:`replay_trace` reads them.  A sink the space already had
-    gets the same touches, in order, when the build ends."""
+    """A fresh placement; with ``trace``, its page touches are recorded
+    there (:func:`_recording`)."""
     cls, variant = VARIANTS[cfg.variant]
     pl_bytes, cache_pages = local_budget(cfg)
     space = Space(SpaceConfig(cfg.page_size_bytes, pl_bytes, cache_pages))
-    if trace is not None:
-        outer = space.set_trace(trace)
-    allocator = HintAllocator(space) if variant is cls.HINT else CollectiveAllocator(space)
-    value_slot = cfg.pair_size_bytes - 8
-    if cls is BTree:
-        container = BTree(allocator, variant, value_slot=value_slot)
-    else:
-        container = SkipList(allocator, variant, value_slot=value_slot,
-                             level_seed=cfg.seed)
-    vs = cfg.value_size_bytes
-    buf = np.random.default_rng(_streams(cfg.seed)[0]).integers(
-        0, 256, size=cfg.num_pairs * vs, dtype=np.uint8).tobytes()
-    insert = container.insert
-    for i, key in enumerate(placement_keys(cfg).tolist()):
-        insert(key, buf[i * vs:(i + 1) * vs])
-    if container.has_rearrangement:
-        container.make_page_aware()
-    if trace is not None:
-        space.set_trace(outer)
-        if outer is not None:
-            for code in trace:
-                outer.append(code)
+    with _recording(space, trace):
+        allocator = (HintAllocator(space) if variant is cls.HINT
+                     else CollectiveAllocator(space))
+        value_slot = cfg.pair_size_bytes - 8
+        if cls is BTree:
+            container = BTree(allocator, variant, value_slot=value_slot)
+        else:
+            container = SkipList(allocator, variant, value_slot=value_slot,
+                                 level_seed=cfg.seed)
+        vs = cfg.value_size_bytes
+        buf = np.random.default_rng(_streams(cfg.seed)[0]).integers(
+            0, 256, size=cfg.num_pairs * vs, dtype=np.uint8).tobytes()
+        insert = container.insert
+        for i, key in enumerate(placement_keys(cfg).tolist()):
+            insert(key, buf[i * vs:(i + 1) * vs])
+        if container.has_rearrangement:
+            container.make_page_aware()
     return container, space
 
 
@@ -370,11 +437,28 @@ def run_queries(container, script: list[QueryOp]) -> None:
             container.scan(op.key, op.length)
 
 
+def _measure(cfg: BenchConfig, container, space: Space,
+             trace: array | None = None) -> SwapStats:
+    """Measurement phase: drop every cached page and the counters, run the
+    query script and return the counters; with ``trace``, its page touches
+    are recorded there (:func:`_recording`)."""
+    space.evict_all()
+    space.reset_stats()
+    with _recording(space, trace):
+        run_queries(container, query_script(cfg))
+    return space.stats()
+
+
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
+    """One cell: placement, link census, measurement.  Inside a
+    :class:`PlacementReuse` scope the scope may give the placement and the
+    measurement counters from what it holds."""
     container, space = build_placement(cfg)
     placement_stats = space.stats()
     links = link_composition(container)
-    space.evict_all()
-    space.reset_stats()
-    run_queries(container, query_script(cfg))
-    return BenchReport(cfg, placement_stats, links, space.stats())
+    reuse = _active_reuse.get()
+    if reuse is None:
+        measured = _measure(cfg, container, space)
+    else:
+        measured = reuse.measurement(cfg, container, space)
+    return BenchReport(cfg, placement_stats, links, measured)

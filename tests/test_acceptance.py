@@ -8,23 +8,23 @@ pages, 2 000 measurement queries, seed 0; the local-budget sweep is
 L in {5, 10, 25, 50, 100, 200} percent with skew 0.8 / 1.3 and update ratios
 0.05 / 0.5.
 
-Shared state lives in SweepLab.  Variants without a purely-local region keep
-the same placement at every L (only the page-cache size changes), so the lab
-builds each of them once, records the measurement-phase page trace per
-(skew, update-ratio) mix, and turns each L into a cache replay of that trace.
-Variants with a purely-local region are built once per L and share the build
-across the four mixes with a full eviction and counter reset in between.
+A3-A8 read the reports of ``cli.run_sweep``, kept in SweepLab: one serial
+sweep per variant, run when a test first asks for it.  The library's
+shortcuts apply: a variant without a purely-local region is built once for
+every L and runs each mix's queries once, and its other L replay the build
+and query page traces; a variant with a purely-local region is built once
+per L and shares the build across the four mixes.  A spy on the library's
+build notes what A7 and A8 read of each placement.
 test_replayed_cells_match_direct_runs pins both shortcuts against direct
 single-cell runs.
 """
 import random
-from array import array
 from bisect import bisect_left, insort
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
+from farloc import cli, workload
 from farloc.cli import main
 from farloc.collective import (CollectiveAllocator, HintAllocator, Kind,
                                ObjectLayout)
@@ -33,10 +33,9 @@ from farloc.containers import (OCCUPANCY_LIMIT, BTree, BTreeVariant, SkipList,
 from farloc.containers.skiplist import MAX_LEVEL
 from farloc.farmem import Space, SpaceConfig
 from farloc.metrics import link_composition
-from farloc.workload import (VARIANTS, BenchConfig, build_placement,
-                             local_budget, placement_keys, query_script,
-                             run_benchmark, run_queries, variant_uses_local)
-from reference_models import NaiveLru, ReplayLru
+from farloc.workload import (VARIANTS, BenchConfig, local_budget,
+                             placement_keys, run_benchmark, variant_uses_local)
+from reference_models import NaiveLru
 
 BASE = BenchConfig()
 L_SWEEP = (5.0, 10.0, 25.0, 50.0, 100.0, 200.0)
@@ -44,8 +43,13 @@ ALPHAS = (0.8, 1.3)
 UPDATE_RATIOS = (0.05, 0.5)
 MIXES = [(a, u) for a in ALPHAS for u in UPDATE_RATIOS]
 
-# variants whose measurement traces the lab replays across cache sizes
-TRACED = ("hint", "dfs", "veb")
+# L=50 first: a variant without a purely-local region is built at its
+# sweep's first L, and A3 and A8 name its build at L=50
+LAB_L = (50.0, 5.0, 10.0, 25.0, 100.0, 200.0)
+
+# variants whose swap counts A4-A7 compare over the whole sweep; the lab
+# reads the others' links at L=50 only
+SWEPT = ("hint", "dfs", "veb", "local", "local+dfs")
 
 
 @pytest.fixture
@@ -59,12 +63,14 @@ def verdict(capsys):
 
 
 class SweepLab:
+    """Reports of the acceptance cells, from one ``cli.run_sweep`` per
+    variant on first use: LAB_L x the four mixes for a variant in SWEPT,
+    the one cell at L=50, skew 0.8 and update ratio 0.05 for the others."""
+
     def __init__(self):
-        self._traces = {}        # variant -> {(alpha, u): (pages, writes)}
-        self._swaps = {}         # (variant, L, alpha, u) -> swap_ins
-        self._links = {}         # (variant, L) -> LinkComposition
+        self._reports = {}       # (variant, L, alpha, u) -> BenchReport
+        self._nodes = {}         # (variant, L) -> node count of its build
         self._occupancy = []     # (label, refs_checked, max_occ, bound)
-        self._meta = {}          # (variant, L) -> (node_count, block_bytes)
 
     @staticmethod
     def _cfg(variant, l, alpha=0.8, u=0.05):
@@ -77,7 +83,9 @@ class SweepLab:
         return (btree_block_bytes(slot) if isinstance(container, BTree)
                 else tower_block_bytes(MAX_LEVEL, slot))
 
-    def _note_occupancy(self, label, container):
+    def _note_build(self, cfg, container):
+        label = f"{cfg.variant} L={cfg.l_percent:g}"
+        self._nodes[(cfg.variant, cfg.l_percent)] = container.node_count
         alloc = container._alloc
         if alloc is None or not container.has_rearrangement:
             return
@@ -88,80 +96,43 @@ class SweepLab:
         assert occs, f"{label}: rearrangement created no per-page sub-allocators"
         self._occupancy.append((label, len(occs), max(occs), bound))
 
-    def _capture(self, variant, l, container):
-        self._links[(variant, l)] = link_composition(container)
-        self._note_occupancy(f"{variant} L={l:g}", container)
-        self._meta[(variant, l)] = (container.node_count, self._max_block(container))
+    def _sweep(self, variant):
+        full = variant in SWEPT
+        spec = cli.SweepSpec((variant,), LAB_L if full else (50.0,),
+                             ALPHAS if full else (0.8,),
+                             UPDATE_RATIOS if full else (0.05,), BASE)
+        real_build = workload._build
 
-    def _ensure_traced(self, variant):
-        if variant in self._traces:
-            return
-        container, space = build_placement(self._cfg(variant, 50.0))
-        self._capture(variant, 50.0, container)
-        mixes = {}
-        for alpha, u in MIXES:
-            sink = array("i")
-            space.evict_all()
-            space.reset_stats()
-            space.set_trace(sink)
-            run_queries(container,
-                        query_script(self._cfg(variant, 50.0, alpha, u)))
-            space.set_trace(None)
-            codes = np.frombuffer(sink, dtype=np.intc)
-            mixes[(alpha, u)] = (codes >> 1, (codes & 1).astype(bool))
-        self._traces[variant] = mixes
+        def noting_build(cfg, trace=None):
+            container, space = real_build(cfg, trace)
+            self._note_build(cfg, container)
+            return container, space
 
-    def _ensure_local(self, variant, l, with_swaps=True):
-        if (variant, l) in self._meta:
-            return
-        container, space = build_placement(self._cfg(variant, l))
-        self._capture(variant, l, container)
-        if not with_swaps:
-            return
-        for alpha, u in MIXES:
-            space.evict_all()
-            space.reset_stats()
-            run_queries(container,
-                        query_script(self._cfg(variant, l, alpha, u)))
-            self._swaps[(variant, l, alpha, u)] = space.stats().swap_ins
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(workload, "_build", noting_build)
+            reports = cli.run_sweep(spec, threads=1)
+        for r in reports:
+            c = r.config
+            self._reports[(c.variant, c.l_percent, c.alpha, c.update_ratio)] = r
 
-    def _ensure_links_only(self, variant, l=50.0):
-        if (variant, l) in self._links:
-            return
-        container, _ = build_placement(self._cfg(variant, l))
-        self._capture(variant, l, container)
+    def report(self, variant, l=50.0, alpha=0.8, u=0.05):
+        key = (variant, l, alpha, u)
+        if key not in self._reports:
+            self._sweep(variant)
+        return self._reports[key]
 
     def swap_ins(self, variant, l, alpha, u):
-        key = (variant, l, alpha, u)
-        if key not in self._swaps:
-            if variant_uses_local(variant):
-                self._ensure_local(variant, l)
-            else:
-                self._ensure_traced(variant)
-                pages, writes = self._traces[variant][(alpha, u)]
-                cache = local_budget(self._cfg(variant, l))[1]
-                lru = ReplayLru(cache)
-                touch = lru.touch_page
-                for p, w in zip(pages.tolist(), writes.tolist()):
-                    touch(p, w)
-                self._swaps[key] = lru.swap_ins
-        return self._swaps[key]
+        return self.report(variant, l, alpha, u).measurement_stats.swap_ins
 
-    def links(self, variant, l=50.0):
-        if (variant, l) not in self._links:
-            if variant_uses_local(variant):
-                self._ensure_local(variant, l)
-            elif variant in TRACED:
-                self._ensure_traced(variant)
-            else:
-                self._ensure_links_only(variant, l)
-        return self._links[(variant, l)]
+    def links(self, variant):
+        return self.report(variant).links
+
+    def nodes(self, variant, l):
+        self.report(variant, l)
+        return self._nodes[(variant, l)]
 
     def occupancy_records(self):
         return list(self._occupancy)
-
-    def meta(self, variant, l):
-        return self._meta[(variant, l)]
 
 
 @pytest.fixture(scope="module")
@@ -244,13 +215,9 @@ def test_a2_hint_insert_mismatch(verdict):
 # -- protocol fidelity (supports A3-A7) ----------------------------------
 
 def test_replayed_cells_match_direct_runs(lab):
-    cfg = SweepLab._cfg("dfs", 25.0, 1.3, 0.5)
-    direct = run_benchmark(cfg).measurement_stats.swap_ins
-    assert lab.swap_ins("dfs", 25.0, 1.3, 0.5) == direct
-
-    cfg = SweepLab._cfg("local", 10.0, 1.3, 0.5)
-    direct = run_benchmark(cfg).measurement_stats.swap_ins
-    assert lab.swap_ins("local", 10.0, 1.3, 0.5) == direct
+    for variant, l in (("dfs", 25.0), ("local", 10.0)):
+        direct = run_benchmark(SweepLab._cfg(variant, l, 1.3, 0.5))
+        assert lab.report(variant, l, 1.3, 0.5) == direct
 
 
 # -- A3: hint variants carry the most cross-page links -------------------
@@ -321,7 +288,8 @@ def test_a7_local_saturation(lab, verdict):
         mono_ok &= all(s[i + 1] <= s[i] * 1.05 for i in range(len(s) - 1))
     tail = series[(0.8, 0.05)]
     end = tail[-1]
-    nodes, block = lab.meta("local+dfs", 200.0)
+    nodes = lab.nodes("local+dfs", 200.0)
+    block = btree_block_bytes(BASE.pair_size_bytes - 8)
     pl_bytes = local_budget(SweepLab._cfg("local+dfs", 200.0))[0]
     zero_ok = end == 0
     if zero_ok:
@@ -340,11 +308,9 @@ def test_a7_local_saturation(lab, verdict):
 
 def test_a8_rearrangement_occupancy(lab, verdict):
     # cover every rearrangement routine, whether or not A3-A7 ran first
-    for v in ("dfs", "veb", "skip-page", "skip-local+page"):
-        lab.links(v)
-    lab._ensure_local("local+veb", 50.0, with_swaps=False)
-    for l in L_SWEEP:
-        lab._ensure_local("local+dfs", l)
+    for v in ("dfs", "veb", "skip-page", "skip-local+page", "local+veb",
+              "local+dfs"):
+        lab.report(v)
     records = lab.occupancy_records()
     labels = {r[0].split(" ")[0] for r in records}
     assert {"dfs", "veb", "local+dfs", "local+veb",

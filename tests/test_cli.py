@@ -273,13 +273,25 @@ class RecordingPool:
         return map(fn, cells)
 
 
-def pool_case(threads, n_groups, cpus, pool, per_group=1):
+def pool_case(threads, n_groups, cpus, pool, per_group=1, affinity=None):
     label = n_groups if per_group == 1 else f"{n_groups}x{per_group}"
-    return pytest.param(threads, n_groups, per_group, cpus, pool,
-                        id=f"{threads}-{label}-{cpus}-{pool}")
+    cpu_label = cpus if affinity is None else f"{cpus}aff{affinity}"
+    return pytest.param(threads, n_groups, per_group, cpus, affinity, pool,
+                        id=f"{threads}-{label}-{cpu_label}-{pool}")
 
 
-@pytest.mark.parametrize("threads, n_groups, per_group, cpus, pool", [
+def set_cpus(monkeypatch, cpus, affinity=None):
+    """``os.cpu_count`` reads ``cpus``.  With ``affinity``, the process may
+    run on that many CPUs; without, the platform has no affinity call."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity",
+                            lambda pid: set(range(affinity)), raising=False)
+
+
+@pytest.mark.parametrize("threads, n_groups, per_group, cpus, affinity, pool", [
     pool_case(64, 3, 4, 3),          # never more workers than groups
     pool_case(64, 10, 4, 4),         # ... or CPUs
     pool_case(2, 10, 4, 2),
@@ -291,13 +303,17 @@ def pool_case(threads, n_groups, cpus, pool, per_group=1):
     pool_case(64, 3, 8, 3, per_group=4),
     pool_case(64, 10, 4, 4, per_group=2),
     pool_case(2, 3, 4, 2, per_group=4),
+    # the CPUs this process may run on, not the machine's
+    pool_case(2, 10, 2, None, affinity=1),
+    pool_case(64, 10, 8, 3, affinity=3),
+    pool_case(64, 10, None, 2, affinity=2),
 ])
 def test_process_pool_is_bounded(monkeypatch, threads, n_groups, per_group, cpus,
-                                 pool):
+                                 affinity, pool):
     RecordingPool.sizes = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "run_benchmark", lambda cfg: cfg)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    set_cpus(monkeypatch, cpus, affinity)
     # L changes local's placement, alpha does not
     spec, _, _ = parse_args(
         ["--variant", "local"]
@@ -312,7 +328,7 @@ def test_pool_rows_follow_sweep_order_when_groups_interleave(monkeypatch):
     RecordingPool.sizes = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "run_benchmark", lambda cfg: cfg)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    set_cpus(monkeypatch, 4)
     # a repeated L puts one placement's cells on both sides of another's
     spec, _, _ = parse_args(["--variant", "local",
                              "--l-percent", "1", "--l-percent", "2",

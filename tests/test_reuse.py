@@ -6,10 +6,13 @@ values, placement counters and cache capacity a fresh build at the call's
 own L leaves, and an empty cache; any other call builds afresh.  Placement
 never reads the cache, so a variant without a purely-local region has one
 build key at every L, and a reused cell at another cache size gets its
-counters from a replay of the build's page trace.  The sweep runs each
-group of cells that share a build key in one scope.  Every test here
-compares against the unscoped path, which builds afresh for every call, so
-reuse must be invisible in everything a cell reports.
+counters from a replay of the build's page trace.  Each mix's queries run
+once per held placement: a cell with the key and mix at another cache size
+gets its measurement counters from a replay of their page trace.  The sweep
+runs each group of cells that share a build key in one scope.  Every test
+here compares against the unscoped path, which builds afresh and runs the
+queries for every call, so reuse must be invisible in everything a cell
+reports.
 """
 import gc
 import hashlib
@@ -29,6 +32,7 @@ from farloc.farmem import Space, SwapStats, UsageError, replay_trace
 from farloc.workload import (VARIANTS, BenchConfig, PlacementReuse,
                              build_key, build_placement, local_budget,
                              query_script, run_benchmark, run_queries)
+from reference_models import NaiveLru, ReplayLru
 
 BASE = BenchConfig(total_data_bytes=64 * 1024, l_percent=25.0,
                    num_queries=200, seed=2)
@@ -75,47 +79,66 @@ def test_scoped_sweep_reports_equal_per_cell_runs(variant):
 
 
 class _Digest:
-    """Trace sink that hashes each ``page * 2 + is_write`` touch."""
+    """Trace sink that hashes each ``page * 2 + is_write`` touch and hands
+    it on to the sink it stands in front of."""
 
-    def __init__(self):
+    def __init__(self, inner):
+        self.inner = inner
         self.n = 0
         self.sha = hashlib.sha256()
 
     def append(self, code):
         self.n += 1
         self.sha.update(struct.pack("<qB", code >> 1, code & 1))
+        if self.inner is not None:
+            self.inner.append(code)
+
+
+def spy_queries(monkeypatch):
+    """Record the touch count and digest of every query run, in order; a
+    trace the run records still gets every touch."""
+    runs = []
+    real_run = workload.run_queries
+
+    def digest_run(container, script):
+        space = container.space
+        sink = _Digest(space.set_trace(None))
+        space.set_trace(sink)
+        real_run(container, script)
+        space.set_trace(sink.inner)
+        runs.append((sink.n, sink.sha.hexdigest()))
+
+    monkeypatch.setattr(workload, "run_queries", digest_run)
+    return runs
 
 
 @pytest.mark.parametrize("variant", ["dfs", "local+dfs", "skip-local+page"])
 def test_reused_replay_touches_the_pages_a_fresh_build_does(variant, monkeypatch):
-    replays = []
-
-    def traced_replay(container, script):
-        sink = _Digest()
-        container.space.set_trace(sink)
-        run_queries(container, script)
-        container.space.set_trace(None)
-        replays.append((sink.n, sink.sha.hexdigest()))
-
-    monkeypatch.setattr(workload, "run_queries", traced_replay)
+    runs = spy_queries(monkeypatch)
     cells = grid(variant, (25.0, 50.0))
+    fresh = []
     for c in cells:
         run_benchmark(c)
-    fresh, replays[:] = list(replays), []
-    with PlacementReuse(cells):
-        for c in cells:
-            run_benchmark(c)
-    assert replays == fresh
+        fresh.append(runs.pop())
     assert len(set(fresh)) >= 4   # the mixes do differ
+    ran = []
+    with PlacementReuse(cells):
+        for c, want in zip(cells, fresh):
+            run_benchmark(c)
+            if runs:
+                assert runs.pop() == want, c
+                ran.append(c.l_percent)
+    # a pooled variant's queries run at the first L only, once per mix
+    assert ran == ([25.0] * 4 if variant == "dfs" else [25.0] * 4 + [50.0] * 4)
 
 
 @pytest.mark.parametrize("variant", ["plain", "skip-page"])
 def test_a_sink_installed_at_space_creation_sees_every_build_touch(
         variant, monkeypatch):
-    """A recording build hands a sink already installed every touch, in
-    order, and its trace holds the same touches."""
+    """A recording build or query run hands a sink already installed every
+    touch, in order, and its trace holds the same touches."""
     sinks, traces = [], []
-    real_build = workload._build
+    real_build, real_measure = workload._build, workload._measure
 
     class TracedSpace(Space):
         def __init__(self, cfg):
@@ -127,21 +150,30 @@ def test_a_sink_installed_at_space_creation_sees_every_build_touch(
         traces.append(trace)
         return real_build(cfg, trace)
 
+    def keeping_measure(cfg, container, space, trace=None):
+        traces.append(trace)
+        return real_measure(cfg, container, space, trace)
+
     monkeypatch.setattr(workload, "Space", TracedSpace)
     monkeypatch.setattr(workload, "_build", keeping_build)
+    monkeypatch.setattr(workload, "_measure", keeping_measure)
     cells = grid(variant, (25.0, 50.0))
     workload._build(cells[0])
-    run_benchmark(cells[0])
-    build_touches, cell_touches = sinks
+    for c in cells[:4]:
+        run_benchmark(c)
+    build_touches = sinks[0]
+    # each mix's query touches follow the build's in a fresh cell's sink
+    query_touches = [s[len(build_touches):] for s in sinks[1:]]
+    assert all(s[:len(build_touches)] == build_touches for s in sinks[1:])
     sinks.clear()
     traces.clear()
     with PlacementReuse(cells):
         for c in cells:
             run_benchmark(c)
-    (recording,), (trace,) = sinks, traces
-    # the build and the first cell's queries, then the other cells' queries
-    assert recording[:len(cell_touches)] == cell_touches
-    assert list(trace) == build_touches
+    # the build and the first L's queries record; the second L replays
+    (recording,) = sinks
+    assert [list(t) for t in traces] == [build_touches] + query_touches
+    assert recording == build_touches + sum(query_touches, [])
 
 
 def test_a_pooled_variant_builds_once_across_l(monkeypatch):
@@ -152,6 +184,19 @@ def test_a_pooled_variant_builds_once_across_l(monkeypatch):
                              BASE)
         cli.run_sweep(spec, threads=1)
         assert len(built) == builds, variant
+
+
+def test_queries_run_once_per_placement_and_mix(monkeypatch):
+    """Over 3 L x 4 mixes, a pooled variant runs each mix's queries once
+    and replays them at the other two L; a local variant has a placement
+    per L, so it runs every cell's queries."""
+    runs = spy_queries(monkeypatch)
+    for variant, n_runs in (("plain", 4), ("skip-page", 4), ("local", 12)):
+        runs.clear()
+        spec = cli.SweepSpec((variant,), (10.0, 25.0, 50.0), (0.8, 1.3),
+                             (0.05, 0.5), BASE)
+        cli.run_sweep(spec, threads=1)
+        assert len(runs) == n_runs, variant
 
 
 def test_one_build_per_key_and_nothing_held_past_its_last_cell(monkeypatch):
@@ -296,6 +341,27 @@ def test_replay_trace_restores_through_a_validated_capacity():
     assert space.cfg.cache_capacity_pages == 1
 
 
+def test_a_real_query_trace_replays_as_the_reference_lrus_do():
+    """The measurement traces of a 64 KiB dfs grid, replayed by
+    ``replay_trace`` at every capacity from 0 to one page past the whole
+    space, give what the independent reference LRUs give."""
+    for cell in grid("dfs"):
+        container, space = workload._build(cell)
+        trace = array("i")
+        stats = workload._measure(cell, container, space, trace)
+        assert stats == replay_trace(trace, space.cfg.cache_capacity_pages)
+        touches = [(code >> 1, bool(code & 1)) for code in trace]
+        # every mix has updates, so the trace has writes to write back
+        assert len(touches) > 1000 and any(w for _, w in touches)
+        for cap in range(space.num_pages + 2):
+            got = replay_trace(trace, cap)
+            small = [NaiveLru(cap)] if cap <= 4 else []
+            for lru in [ReplayLru(cap)] + small:
+                for page, is_write in touches:
+                    lru.touch_page(page, is_write)
+                assert got == SwapStats(lru.swap_ins, lru.write_backs), (cap, lru)
+
+
 @pytest.mark.parametrize("variant", ["plain", "skip-plain"])
 def test_restore_values_refuses_a_changed_container(variant):
     container, _ = build_placement(replace(BASE, variant=variant))
@@ -309,7 +375,7 @@ def _sweep_matches_the_recorded_fingerprints(monkeypatch, name):
     """Run the benchmark workload ``name`` at seed 0, full size, through
     ``run_sweep``; every cell's placement and measurement swap counts and
     link ratios must equal the fingerprints the benchmark recorded.
-    Returns the number of builds the sweep made."""
+    Returns the number of builds and of query runs the sweep made."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -320,6 +386,7 @@ def _sweep_matches_the_recorded_fingerprints(monkeypatch, name):
     recorded = json.loads((PERFBENCH / "fingerprints.json").read_text())
     want = [fp[:8] for fp in recorded[name]["0"]]
     built = spy_builds(monkeypatch)
+    runs = spy_queries(monkeypatch)
     got = []
     for r in cli.run_sweep(sweep, threads=1):
         c, links = r.config, r.links
@@ -330,17 +397,21 @@ def _sweep_matches_the_recorded_fingerprints(monkeypatch, name):
                     f"{links.in_page_ratio:.6f}",
                     f"{links.cross_page_ratio:.6f}"])
     assert got == want
-    return len(built)
+    return len(built), len(runs)
 
 
 def test_btree_grid_matches_the_recorded_fingerprints(monkeypatch):
     """The btree-grid sweep: its 21 (variant, L) pairs take 13 builds, and
-    8 of them take their placement counts from a replayed build trace."""
-    assert _sweep_matches_the_recorded_fingerprints(monkeypatch, "btree-grid") == 13
+    8 of them take their placement counts from a replayed build trace.  Its
+    24 pooled-variant cells share 8 (placement, mix) pairs, so 16 of them
+    replay a query trace: 18 local-variant cells and 8 pairs run queries."""
+    assert _sweep_matches_the_recorded_fingerprints(
+        monkeypatch, "btree-grid") == (13, 26)
 
 
 @pytest.mark.parametrize(("name", "builds"), [("skiplist-full", 5), ("replay-writes", 3)])
 def test_every_cell_builds_and_matches_the_recorded_fingerprints(monkeypatch, name, builds):
-    """The other two benchmark sweeps: one build per cell.  With btree-grid
-    they put every variant's placement under a recorded fingerprint."""
-    assert _sweep_matches_the_recorded_fingerprints(monkeypatch, name) == builds
+    """The other two benchmark sweeps: one build and one query run per
+    cell.  With btree-grid they put every variant's placement under a
+    recorded fingerprint."""
+    assert _sweep_matches_the_recorded_fingerprints(monkeypatch, name) == (builds, builds)
