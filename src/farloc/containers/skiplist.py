@@ -101,12 +101,12 @@ class SkipList(PlacedContainer):
 
     # -- search plumbing -------------------------------------------------
 
-    def _find_slot(self, key: int):
-        """Predecessor handles per level (0 = head tower) and the handle of
-        the first node with key >= the target, already touched."""
+    def _descend(self, key: int):
+        """The nodes the search for ``key`` reads, in order, touching
+        nothing; the predecessor handles per level (0 = head tower); and
+        the handle of the first node with key >= the target."""
         nodes = self._nodes
         update = [0] * MAX_LEVEL
-        # the descent only reads, so its touches are accounted in one batch
         seen = []
         cur = 0
         for lvl in reversed(range(self._levels)):
@@ -120,14 +120,14 @@ class SkipList(PlacedContainer):
                 else:
                     break
             update[lvl] = cur
-        self._space.touch_blocks(seen, False)
         cand = self._head[0] if not cur else nodes[cur].forwards[0]
-        return update, cand
+        return seen, update, cand
 
     # -- queries ---------------------------------------------------------
 
     def search(self, key: int) -> bytes | None:
-        _, cand = self._find_slot(key)
+        seen, _, cand = self._descend(key)
+        self._space.touch_blocks(seen, False)
         if cand:
             n = self._nodes[cand]
             if n.key == key:
@@ -136,7 +136,8 @@ class SkipList(PlacedContainer):
 
     def update(self, key: int, value: bytes) -> bool:
         self._check_value(value)
-        _, cand = self._find_slot(key)
+        seen, _, cand = self._descend(key)
+        self._space.touch_blocks(seen, False)
         if cand:
             n = self._nodes[cand]
             if n.key == key:
@@ -150,9 +151,10 @@ class SkipList(PlacedContainer):
         chain, starting at ``key`` or its successor."""
         if length < 1:
             raise UsageError(f"scan length must be >= 1, got {length}")
-        _, h = self._find_slot(key)
+        # the descent and the walk only read, so their touches are
+        # accounted in one batch
+        seen, _, h = self._descend(key)
         out: list[tuple[int, bytes]] = []
-        seen = []
         nodes = self._nodes
         while h and len(out) < length:
             n = nodes[h]
@@ -166,7 +168,8 @@ class SkipList(PlacedContainer):
 
     def insert(self, key: int, value: bytes) -> bool:
         self._check_value(value)
-        update, cand = self._find_slot(key)
+        seen, update, cand = self._descend(key)
+        self._space.touch_blocks(seen, False)
         if cand and self._nodes[cand].key == key:
             return False
         level = self._draw_level()
@@ -211,7 +214,9 @@ class SkipList(PlacedContainer):
     # -- relocation ------------------------------------------------------
 
     def _referrers(self, h: Handle) -> list[Handle]:
-        return self._find_slot(self._nodes[h].key)[0]
+        seen, update, _ = self._descend(self._nodes[h].key)
+        self._space.touch_blocks(seen, False)
+        return update
 
     def _repoint(self, h: Handle, new_h: Handle, node: _SkipNode,
                  preds: list[Handle]) -> None:

@@ -21,14 +21,16 @@ page-cache size, so cells that differ only in those have one build key
 (:func:`build_key`); for a variant without a purely-local region that is
 one key at every L.  The query script reads the build key's fields and the
 mix (skew, update ratio, query count) and never the cache, so one
-(placement, mix) pair makes one page trace at every cache size.  A
-:class:`PlacementReuse` scope, planned with the cells it will run, builds
-each key once and gives the placement back, restored, to the key's other
-cells, and runs each mix's queries once per placement.  A cell at another
-cache size gets its placement and measurement counters from replays of the
-build's and the queries' page traces (:func:`farloc.farmem.replay_trace`):
-under strict LRU the swap-ins and write-backs at any capacity follow from
-the page-reference string alone (Mattson et al., 1970).
+(placement, mix) pair makes one page trace at every cache size.  The link
+census reads the placement alone.  A :class:`PlacementReuse` scope,
+planned with the cells it will run, builds each key once and gives the
+placement back, restored, to the key's other cells, takes each
+placement's census once and runs each mix's queries once per placement.
+A cell at another cache size gets its placement and measurement counters
+from replays of the build's and the queries' page traces
+(:func:`farloc.farmem.replay_trace`): under strict LRU the swap-ins and
+write-backs at any capacity follow from the page-reference string alone
+(Mattson et al., 1970).
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ import math
 from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,7 +144,7 @@ class BenchConfig:
         if self.num_pairs * self.value_size_bytes > MAX_ARRAY_LEN:
             raise ConfigError(f"{self.total_data_bytes} data bytes hold more value "
                               "bytes than one numpy array can")
-        # every cell takes a link census, and a container needs links: a
+        # every cell reports a link census, and a container needs links: a
         # B-tree more than one node, a skip list more than one tower
         family = "btree" if VARIANTS[self.variant][0] is BTree else "skiplist"
         least = ORDER if family == "btree" else 2
@@ -249,9 +251,23 @@ class _Counters:
         return self._stats[cache]
 
 
+@dataclass
+class _Held:
+    """What a :class:`PlacementReuse` scope keeps of its one placement."""
+    container: object
+    space: Space
+    values: dict
+    placed: _Counters
+    # mix -> the measurement counters of its queries on this placement
+    measured: dict = field(default_factory=dict)
+    # the link census, taken when a cell first asks for it
+    links: LinkComposition | None = None
+
+
 class PlacementReuse:
     """A scope, opened as a context manager, that builds each placement of a
-    plan once and runs each of its mixes' queries once.
+    plan once, takes its link census once and runs each of its mixes'
+    queries once.
 
     The plan is the cells the caller is about to run inside the scope.  A
     build that a cell still to come shares keeps its container, space,
@@ -265,20 +281,25 @@ class PlacementReuse:
     and the link census touches nothing.  Query replay changes nothing
     else, because an update rewrites a value in place and a scan only reads.
 
+    Nothing after the build changes a structural link: restoring values or
+    counters leaves blocks and pages alone, and queries only rewrite values.
+    So the link census of the held placement, taken at its key's first
+    cell, serves every later cell with the key.
+
     The measurement phase is kept the same way, per mix of the held
     placement: its counters, and its query trace when a cell still to come
     has the key and mix at another cache size.  Such a cell gets its
     measurement counters from the held ones or from a replay of that trace,
     which starts from an empty cache and ends without a flush, as the
     measurement phase does; its queries do not run.  The scope holds one
-    placement.  Any other call builds afresh and runs its queries, so reuse
-    is correct in any call order.
+    placement.  Any other call builds afresh, takes its census and runs its
+    queries, so reuse is correct in any call order.
     """
 
     def __init__(self, cells):
         self._todo = [_plan_entry(c) for c in cells]
         self._key = None
-        self._held = None
+        self._held: _Held | None = None
         self._token = None
 
     def __enter__(self) -> PlacementReuse:
@@ -309,20 +330,30 @@ class PlacementReuse:
         container, space = _build(cfg, trace)
         if later:
             self._key = key
-            self._held = (container, space, container.save_values(),
-                          _Counters(cache, space.stats(), trace), {})
+            self._held = _Held(container, space, container.save_values(),
+                               _Counters(cache, space.stats(), trace))
         return container, space
 
     def _restore(self, cache: int):
         """The held placement with the placement counters of a ``cache``-page
         cache, or None when they are neither held nor replayable."""
-        container, space, values, placed, _ = self._held
-        stats = placed.at(cache)
+        held = self._held
+        stats = held.placed.at(cache)
         if stats is None:
             return None
-        container.restore_values(values)
-        space.restore(stats, cache)
-        return container, space
+        held.container.restore_values(held.values)
+        held.space.restore(stats, cache)
+        return held.container, held.space
+
+    def census(self, cfg: BenchConfig, container) -> LinkComposition:
+        """The link census of the placement :meth:`placement` just gave
+        ``cfg``: held, or taken now."""
+        if build_key(cfg) != self._key:
+            return link_composition(container)
+        held = self._held
+        if held.links is None:
+            held.links = link_composition(container)
+        return held.links
 
     def measurement(self, cfg: BenchConfig, container, space) -> SwapStats:
         """The measurement counters of ``cfg`` on the placement
@@ -330,7 +361,7 @@ class PlacementReuse:
         key, mix, cache = _plan_entry(cfg)
         if key != self._key:
             return _measure(cfg, container, space)
-        measured = self._held[4]
+        measured = self._held.measured
         if mix in measured:
             stats = measured[mix].at(cache)
             if stats is not None:
@@ -451,14 +482,15 @@ def _measure(cfg: BenchConfig, container, space: Space,
 
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
     """One cell: placement, link census, measurement.  Inside a
-    :class:`PlacementReuse` scope the scope may give the placement and the
-    measurement counters from what it holds."""
+    :class:`PlacementReuse` scope the scope may give the placement, the
+    census and the measurement counters from what it holds."""
     container, space = build_placement(cfg)
     placement_stats = space.stats()
-    links = link_composition(container)
     reuse = _active_reuse.get()
     if reuse is None:
+        links = link_composition(container)
         measured = _measure(cfg, container, space)
     else:
+        links = reuse.census(cfg, container)
         measured = reuse.measurement(cfg, container, space)
     return BenchReport(cfg, placement_stats, links, measured)

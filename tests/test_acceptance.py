@@ -11,10 +11,11 @@ L in {5, 10, 25, 50, 100, 200} percent with skew 0.8 / 1.3 and update ratios
 A3-A8 read the reports of ``cli.run_sweep``, kept in SweepLab: one serial
 sweep per variant, run when a test first asks for it.  The library's
 shortcuts apply: a variant without a purely-local region is built once for
-every L and runs each mix's queries once, and its other L replay the build
-and query page traces; a variant with a purely-local region is built once
-per L and shares the build across the four mixes.  A spy on the library's
-build notes what A7 and A8 read of each placement.
+every L, takes its link census once and runs each mix's queries once, and
+its other L replay the build and query page traces; a variant with a
+purely-local region is built once per L and shares the build and its census
+across the four mixes.  A spy on the library's build notes what A7 and A8
+read of each placement.
 test_replayed_cells_match_direct_runs pins both shortcuts against direct
 single-cell runs.
 """

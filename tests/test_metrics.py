@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from farloc import workload
 from farloc.collective import CollectiveAllocator
 from farloc.containers import BTree, BTreeVariant, SkipList, SkipListVariant
 from farloc.farmem import Space, SpaceConfig, UsageError
 from farloc.metrics import LinkClass, classify_link, link_composition
+from farloc.workload import VARIANTS, BenchConfig
 
 
 def two_pages(space):
@@ -51,24 +53,32 @@ def manual_composition(container):
             counts[LinkClass.CROSS_PAGE] / total)
 
 
-@pytest.mark.parametrize("build", ["btree", "skiplist"])
+@pytest.mark.parametrize("build", ["btree", "skiplist", *VARIANTS])
 def test_composition_matches_a_direct_count(build):
-    space = Space(SpaceConfig(4096, 16384, 32))
-    if build == "btree":
-        c = BTree(CollectiveAllocator(space), BTreeVariant.LOCAL_DFS)
+    """Hand-built local trees, then the benchmark's own placement of every
+    variant at 64 KiB and L=25."""
+    if build in VARIANTS:
+        c, _ = workload._build(BenchConfig(variant=build, l_percent=25.0,
+                                           total_data_bytes=64 * 1024))
     else:
-        c = SkipList(CollectiveAllocator(space), SkipListVariant.LOCAL_PAGE)
-    rng = random.Random(11)
-    for _ in range(800):
-        c.insert(rng.randrange(100_000), b"v")
-    c.make_page_aware()
+        space = Space(SpaceConfig(4096, 16384, 32))
+        if build == "btree":
+            c = BTree(CollectiveAllocator(space), BTreeVariant.LOCAL_DFS)
+        else:
+            c = SkipList(CollectiveAllocator(space), SkipListVariant.LOCAL_PAGE)
+        rng = random.Random(11)
+        for _ in range(800):
+            c.insert(rng.randrange(100_000), b"v")
+        c.make_page_aware()
     comp = link_composition(c)
     pl, inp, cross = manual_composition(c)
     assert (comp.purely_local_ratio, comp.in_page_ratio,
             comp.cross_page_ratio) == (pl, inp, cross)
     assert abs(comp.purely_local_ratio + comp.in_page_ratio
                + comp.cross_page_ratio - 1.0) <= 1e-9
-    assert comp.purely_local_ratio > 0       # the local prefix contributes
+    # the local prefix contributes
+    local = build not in VARIANTS or workload.variant_uses_local(build)
+    assert (comp.purely_local_ratio > 0) == local
 
 
 def test_plain_containers_have_no_purely_local_links():
@@ -91,10 +101,20 @@ def test_composition_on_synthesized_links():
     space = Space(SpaceConfig(4096, 8192, 4))
     l1, l2 = (space.carve_purely_local(64) for _ in range(2))
     a, b, c = two_pages(space)
-    fake = FakeContainer(space, [(l1, l2), (a, b), (a, c), (l1, a)])
+    fake = FakeContainer(space, [(l1, l2), (a, b), (a, c), (l1, a), (a, l1)])
     comp = link_composition(fake)
     assert (comp.purely_local_ratio, comp.in_page_ratio,
-            comp.cross_page_ratio) == (0.25, 0.25, 0.5)
+            comp.cross_page_ratio) == (0.2, 0.2, 0.6)
+
+
+def test_composition_rejects_a_link_to_a_freed_block():
+    space = Space(SpaceConfig(4096, 8192, 4))
+    l1 = space.carve_purely_local(64)
+    a, b, c = two_pages(space)
+    space.free(c)
+    for link in ((a, c), (c, a), (l1, c)):
+        with pytest.raises(UsageError):
+            link_composition(FakeContainer(space, [(a, b), link]))
 
 
 # -- the cross-page ratio as A2's parent/child page mismatch --------------

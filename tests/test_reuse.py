@@ -6,7 +6,8 @@ values, placement counters and cache capacity a fresh build at the call's
 own L leaves, and an empty cache; any other call builds afresh.  Placement
 never reads the cache, so a variant without a purely-local region has one
 build key at every L, and a reused cell at another cache size gets its
-counters from a replay of the build's page trace.  Each mix's queries run
+counters from a replay of the build's page trace.  A held placement takes
+its link census once, at its key's first cell.  Each mix's queries run
 once per held placement: a cell with the key and mix at another cache size
 gets its measurement counters from a replay of their page trace.  The sweep
 runs each group of cells that share a build key in one scope.  Every test
@@ -92,6 +93,20 @@ class _Digest:
         self.sha.update(struct.pack("<qB", code >> 1, code & 1))
         if self.inner is not None:
             self.inner.append(code)
+
+
+def spy_censuses(monkeypatch):
+    """Record the node count of every link census's container; holding
+    the container itself would keep its placement alive."""
+    taken = []
+    real_census = workload.link_composition
+
+    def counting_census(container):
+        taken.append(container.node_count)
+        return real_census(container)
+
+    monkeypatch.setattr(workload, "link_composition", counting_census)
+    return taken
 
 
 def spy_queries(monkeypatch):
@@ -189,14 +204,18 @@ def test_a_pooled_variant_builds_once_across_l(monkeypatch):
 def test_queries_run_once_per_placement_and_mix(monkeypatch):
     """Over 3 L x 4 mixes, a pooled variant runs each mix's queries once
     and replays them at the other two L; a local variant has a placement
-    per L, so it runs every cell's queries."""
+    per L, so it runs every cell's queries.  Each placement takes one link
+    census."""
     runs = spy_queries(monkeypatch)
-    for variant, n_runs in (("plain", 4), ("skip-page", 4), ("local", 12)):
+    taken = spy_censuses(monkeypatch)
+    for variant, n_runs, n_censuses in (("plain", 4, 1), ("skip-page", 4, 1),
+                                        ("local", 12, 3)):
         runs.clear()
+        taken.clear()
         spec = cli.SweepSpec((variant,), (10.0, 25.0, 50.0), (0.8, 1.3),
                              (0.05, 0.5), BASE)
         cli.run_sweep(spec, threads=1)
-        assert len(runs) == n_runs, variant
+        assert (len(runs), len(taken)) == (n_runs, n_censuses), variant
 
 
 def test_one_build_per_key_and_nothing_held_past_its_last_cell(monkeypatch):
@@ -220,10 +239,19 @@ def test_cells_outside_the_plan_build_afresh(monkeypatch):
     c = grid("local")[0]
     fresh = [run_benchmark(x) for x in (a, b)]
     built = spy_builds(monkeypatch)
+    taken = spy_censuses(monkeypatch)
     # planned in another order than called: b's trace serves a
     with PlacementReuse([a, b]):
         assert [run_benchmark(x) for x in (b, a)] == fresh[::-1]
-    assert len(built) == 1
+    assert (len(built), len(taken)) == (1, 1)
+    # a cell whose placement the scope does not hold, or outside any
+    # scope, takes its own census
+    taken.clear()
+    with PlacementReuse([a, c]):
+        for x in (a, c, a):
+            run_benchmark(x)
+    run_benchmark(a)
+    assert len(taken) == 4
     # a plan with one cache size records no trace: another one rebuilds
     built.clear()
     with PlacementReuse([a, a]):
@@ -375,7 +403,8 @@ def _sweep_matches_the_recorded_fingerprints(monkeypatch, name):
     """Run the benchmark workload ``name`` at seed 0, full size, through
     ``run_sweep``; every cell's placement and measurement swap counts and
     link ratios must equal the fingerprints the benchmark recorded.
-    Returns the number of builds and of query runs the sweep made."""
+    Returns the number of builds, of link censuses and of query runs the
+    sweep made."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -386,6 +415,7 @@ def _sweep_matches_the_recorded_fingerprints(monkeypatch, name):
     recorded = json.loads((PERFBENCH / "fingerprints.json").read_text())
     want = [fp[:8] for fp in recorded[name]["0"]]
     built = spy_builds(monkeypatch)
+    censuses = spy_censuses(monkeypatch)
     runs = spy_queries(monkeypatch)
     got = []
     for r in cli.run_sweep(sweep, threads=1):
@@ -397,21 +427,23 @@ def _sweep_matches_the_recorded_fingerprints(monkeypatch, name):
                     f"{links.in_page_ratio:.6f}",
                     f"{links.cross_page_ratio:.6f}"])
     assert got == want
-    return len(built), len(runs)
+    return len(built), len(censuses), len(runs)
 
 
 def test_btree_grid_matches_the_recorded_fingerprints(monkeypatch):
-    """The btree-grid sweep: its 21 (variant, L) pairs take 13 builds, and
-    8 of them take their placement counts from a replayed build trace.  Its
-    24 pooled-variant cells share 8 (placement, mix) pairs, so 16 of them
-    replay a query trace: 18 local-variant cells and 8 pairs run queries."""
+    """The btree-grid sweep: its 21 (variant, L) pairs take 13 builds and
+    13 link censuses, and 8 of them take their placement counts from a
+    replayed build trace.  Its 24 pooled-variant cells share 8 (placement,
+    mix) pairs, so 16 of them replay a query trace: 18 local-variant cells
+    and 8 pairs run queries."""
     assert _sweep_matches_the_recorded_fingerprints(
-        monkeypatch, "btree-grid") == (13, 26)
+        monkeypatch, "btree-grid") == (13, 13, 26)
 
 
 @pytest.mark.parametrize(("name", "builds"), [("skiplist-full", 5), ("replay-writes", 3)])
 def test_every_cell_builds_and_matches_the_recorded_fingerprints(monkeypatch, name, builds):
-    """The other two benchmark sweeps: one build and one query run per
-    cell.  With btree-grid they put every variant's placement under a
-    recorded fingerprint."""
-    assert _sweep_matches_the_recorded_fingerprints(monkeypatch, name) == (builds, builds)
+    """The other two benchmark sweeps: one build, one census and one query
+    run per cell.  With btree-grid they put every variant's placement under
+    a recorded fingerprint."""
+    assert _sweep_matches_the_recorded_fingerprints(
+        monkeypatch, name) == (builds, builds, builds)
