@@ -6,27 +6,16 @@ variant x L x alpha x update-ratio and writes CSV:
 * swaps report: measurement-phase swap-in / write-back counts per cell
 * links report: structural-link composition ratios per cell
 
-Cells that share a build key (see ``workload.build_key``: the variant, the
-data, value and page sizes, the seed and the purely-local bytes) share one
-placement.  The key leaves out the cache size, so a variant without a
-purely-local region has one placement at every L.  The sweep groups its
-cells by key, and these groups are the whole plan: each group runs in its
-own ``PlacementReuse`` scope, handed the group's cells.  Its first cell
-builds the placement, recording the build's page trace when a later cell
-needs another cache size.  The others get the placement back with its
-values restored, an empty cache and the placement counters of their own L,
-held from the build or replayed from that trace.  The queries run once per
-(placement, mix), where the mix is the skew, update ratio and query count:
-a cell whose placement and mix an earlier cell ran at another cache size
-gets its measurement counters from a replay of that run's page trace.  A
-group of one cell keeps nothing.  With one worker the groups run one after
+The sweep groups its cells by build key (``workload.build_key``), and these
+groups are the whole plan: each group runs in its own ``PlacementReuse``
+scope, handed the group's cells; that class's docstring states what a scope
+builds, keeps and replays.  With one worker the groups run one after
 another in this process; FARLOC_THREADS > 1 maps them over a process pool
 of at most one worker per group and per CPU this process may run on.
-Either way rows come back in sweep order.
-When a key's cells are not contiguous in the sweep (a repeated
-``--l-percent``), they still run together, so the cells run in group order,
-not sweep order.  The output paths, FARLOC_THREADS and every cell are
-checked before the first build.
+Either way rows come back in sweep order.  When a key's cells are not
+contiguous in the sweep (a repeated ``--l-percent``), they still run
+together, so the cells run in group order, not sweep order.  The output
+paths, FARLOC_THREADS and every cell are checked before the first build.
 """
 from __future__ import annotations
 
@@ -122,7 +111,7 @@ def parse_args(argv=None) -> tuple[SweepSpec, str, str]:
 
 def _run_cells(cells: list[BenchConfig]) -> list[BenchReport]:
     """One report per cell, in order, inside one reuse scope planned with
-    these cells: cells that share a build key share one placement."""
+    these cells, which share one build key and so one placement."""
     with PlacementReuse(cells):
         return [run_benchmark(cell) for cell in cells]
 
@@ -171,7 +160,10 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[BenchReport]:
 
 
 def _num(x: float) -> str:
-    return format(x, "g")
+    """``format(x, "g")`` where that text reads back as ``x``, else the
+    shortest text that does: "g" keeps only six significant digits."""
+    text = format(x, "g")
+    return text if float(text) == x else repr(x)
 
 
 def emit_swaps_csv(reports: list[BenchReport], out) -> None:

@@ -22,15 +22,14 @@ page-cache size, so cells that differ only in those have one build key
 one key at every L.  The query script reads the build key's fields and the
 mix (skew, update ratio, query count) and never the cache, so one
 (placement, mix) pair makes one page trace at every cache size.  The link
-census reads the placement alone.  A :class:`PlacementReuse` scope,
-planned with the cells it will run, builds each key once and gives the
-placement back, restored, to the key's other cells, takes each
-placement's census once and runs each mix's queries once per placement.
-A cell at another cache size gets its placement and measurement counters
-from replays of the build's and the queries' page traces
+census reads the placement alone.  A :class:`PlacementReuse` scope serves
+the cells of one build key: it builds the placement once, takes its census
+once and runs each mix's queries once, and gets the counters at the plan's
+other cache sizes from replays of the page traces
 (:func:`farloc.farmem.replay_trace`): under strict LRU the swap-ins and
 write-backs at any capacity follow from the page-reference string alone
-(Mattson et al., 1970).
+(Mattson et al., 1970).  A plan of two keys, or a cell outside the plan, is
+a :class:`~farloc.farmem.UsageError`.
 """
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ import math
 from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +46,8 @@ from .containers import (BTree, BTreeVariant, SkipList, SkipListVariant,
                          btree_block_bytes, tower_block_bytes)
 from .containers.btree import ORDER
 from .containers.skiplist import MAX_LEVEL
-from .farmem import ConfigError, Space, SpaceConfig, SwapStats, replay_trace
+from .farmem import (ConfigError, Space, SpaceConfig, SwapStats, UsageError,
+                     replay_trace)
 from .metrics import LinkComposition, link_composition
 
 FNV64_OFFSET = 0xCBF29CE484222325
@@ -235,71 +235,61 @@ def _plan_entry(cfg: BenchConfig) -> tuple:
             local_budget(cfg)[1])
 
 
-class _Counters:
-    """The swap counters a run left at each cache size asked for so far.
-    With the run's page trace, any other cache size replays from it."""
-
-    def __init__(self, cache: int, stats: SwapStats, trace: array | None):
-        self._stats = {cache: stats}
-        self._trace = trace
-
-    def at(self, cache: int) -> SwapStats | None:
-        if cache not in self._stats:
-            if self._trace is None:
-                return None
-            self._stats[cache] = replay_trace(self._trace, cache)
-        return self._stats[cache]
-
-
-@dataclass
-class _Held:
-    """What a :class:`PlacementReuse` scope keeps of its one placement."""
-    container: object
-    space: Space
-    values: dict
-    placed: _Counters
-    # mix -> the measurement counters of its queries on this placement
-    measured: dict = field(default_factory=dict)
-    # the link census, taken when a cell first asks for it
-    links: LinkComposition | None = None
+def _at_caches(cache: int, stats: SwapStats, trace: array | None,
+               caches: set[int]) -> dict[int, SwapStats]:
+    """{cache size: swap counters} over ``caches``: the run's own at
+    ``cache``, and a replay of its page trace at each other size."""
+    return {c: stats if c == cache else replay_trace(trace, c) for c in caches}
 
 
 class PlacementReuse:
-    """A scope, opened as a context manager, that builds each placement of a
-    plan once, takes its link census once and runs each of its mixes'
-    queries once.
+    """A scope, opened as a context manager, that runs the cells of one
+    build key on one placement: it builds the placement once, takes its
+    link census once and runs each mix's queries once.
 
-    The plan is the cells the caller is about to run inside the scope.  A
-    build that a cell still to come shares keeps its container, space,
-    stored values and placement counters; when such a cell needs another
-    cache size, the build also records its page trace.  A later call with
-    that key gets the same container and space back with the values
-    restored, the cache capacity and placement counters of its own L (held
-    from the build or replayed from the trace by :func:`replay_trace`), and
-    an empty cache.  A fresh build would leave its cache full, but a cell
-    reads only the counters before :func:`run_benchmark` drops the cache,
-    and the link census touches nothing.  Query replay changes nothing
-    else, because an update rewrites a value in place and a scan only reads.
+    The plan is the cells the caller is about to run inside the scope, in
+    any order.  A plan with cells of two build keys, or a call for a cell
+    outside the plan, raises :class:`UsageError`.
+
+    The first call builds.  When the plan has more than one cache size, the
+    build records its page trace and, once it ends, replays it at every
+    other planned size (:func:`replay_trace`); the trace is then dropped.
+    When the plan has a later cell, the scope keeps the container, space,
+    stored values and these placement counters.  A later call gets the same
+    container and space back with the values restored, the cache capacity
+    and placement counters of its own L, and an empty cache.  A fresh build
+    would leave its cache full, but a cell reads only the counters before
+    :func:`run_benchmark` drops the cache, and the link census touches
+    nothing.  Query replay changes nothing else, because an update rewrites
+    a value in place and a scan only reads.
 
     Nothing after the build changes a structural link: restoring values or
     counters leaves blocks and pages alone, and queries only rewrite values.
-    So the link census of the held placement, taken at its key's first
-    cell, serves every later cell with the key.
+    So the link census, taken at the first cell, serves every later one.
 
-    The measurement phase is kept the same way, per mix of the held
-    placement: its counters, and its query trace when a cell still to come
-    has the key and mix at another cache size.  Such a cell gets its
-    measurement counters from the held ones or from a replay of that trace,
-    which starts from an empty cache and ends without a flush, as the
-    measurement phase does; its queries do not run.  The scope holds one
-    placement.  Any other call builds afresh, takes its census and runs its
-    queries, so reuse is correct in any call order.
+    The measurement phase is kept the same way, per mix: a mix's first cell
+    runs its queries, recording their page trace when the plan has the mix
+    at more than one cache size, and the trace is replayed at the mix's
+    other sizes.  A replay starts from an empty cache and ends without a
+    flush, as the measurement phase does.  The mix's other cells run no
+    queries.  Closing the scope drops the placement.
     """
 
     def __init__(self, cells):
-        self._todo = [_plan_entry(c) for c in cells]
-        self._key = None
-        self._held: _Held | None = None
+        entries = [_plan_entry(c) for c in cells]
+        if len({key for key, _, _ in entries}) > 1:
+            raise UsageError("a reuse scope serves the cells of one build key")
+        self._plan = set(entries)
+        self._caches = {cache for _, _, cache in self._plan}
+        self._mix_caches: dict[tuple, set[int]] = {}
+        for _, mix, cache in self._plan:
+            self._mix_caches.setdefault(mix, set()).add(cache)
+        self._hold = len(entries) > 1
+        self._container = self._space = self._values = None
+        self._placed: dict[int, SwapStats] = {}
+        self._links: LinkComposition | None = None
+        # mix -> {cache size: the measurement counters of its queries}
+        self._measured: dict[tuple, dict[int, SwapStats]] = {}
         self._token = None
 
     def __enter__(self) -> PlacementReuse:
@@ -308,70 +298,42 @@ class PlacementReuse:
 
     def __exit__(self, *exc) -> None:
         _active_reuse.reset(self._token)
-        self._key = self._held = None
-
-    def _later(self, key, mix=None) -> set[int]:
-        """The cache sizes of the planned cells still to come that have
-        ``key`` (and ``mix``, when given)."""
-        return {c for k, m, c in self._todo if k == key and mix in (None, m)}
+        self._container = self._space = self._values = None
 
     def placement(self, cfg: BenchConfig):
-        entry = key, _, cache = _plan_entry(cfg)
-        if entry in self._todo:
-            self._todo.remove(entry)
-        if key == self._key:
-            placement = self._restore(cache)
-            if placement is not None:
-                return placement
-        # drop the held placement first: the scope never holds two
-        self._key = self._held = None
-        later = self._later(key)
-        trace = array("i") if later - {cache} else None
+        entry = _plan_entry(cfg)
+        if entry not in self._plan:
+            raise UsageError(f"{cfg} is outside this reuse scope's plan")
+        cache = entry[2]
+        if self._container is not None:
+            self._container.restore_values(self._values)
+            self._space.restore(self._placed[cache], cache)
+            return self._container, self._space
+        trace = array("i") if len(self._caches) > 1 else None
         container, space = _build(cfg, trace)
-        if later:
-            self._key = key
-            self._held = _Held(container, space, container.save_values(),
-                               _Counters(cache, space.stats(), trace))
+        if self._hold:
+            self._container, self._space = container, space
+            self._values = container.save_values()
+            self._placed = _at_caches(cache, space.stats(), trace, self._caches)
         return container, space
 
-    def _restore(self, cache: int):
-        """The held placement with the placement counters of a ``cache``-page
-        cache, or None when they are neither held nor replayable."""
-        held = self._held
-        stats = held.placed.at(cache)
-        if stats is None:
-            return None
-        held.container.restore_values(held.values)
-        held.space.restore(stats, cache)
-        return held.container, held.space
-
-    def census(self, cfg: BenchConfig, container) -> LinkComposition:
-        """The link census of the placement :meth:`placement` just gave
-        ``cfg``: held, or taken now."""
-        if build_key(cfg) != self._key:
-            return link_composition(container)
-        held = self._held
-        if held.links is None:
-            held.links = link_composition(container)
-        return held.links
+    def census(self, container) -> LinkComposition:
+        """The link census of the placement: held, or taken now."""
+        if self._links is None:
+            self._links = link_composition(container)
+        return self._links
 
     def measurement(self, cfg: BenchConfig, container, space) -> SwapStats:
         """The measurement counters of ``cfg`` on the placement
-        :meth:`placement` just gave it: held, replayed, or from its queries."""
-        key, mix, cache = _plan_entry(cfg)
-        if key != self._key:
-            return _measure(cfg, container, space)
-        measured = self._held.measured
-        if mix in measured:
-            stats = measured[mix].at(cache)
-            if stats is not None:
-                return stats
-        later = self._later(key, mix)
-        trace = array("i") if later - {cache} else None
-        stats = _measure(cfg, container, space, trace)
-        if later:
-            measured[mix] = _Counters(cache, stats, trace)
-        return stats
+        :meth:`placement` just gave it: from its queries at the mix's first
+        cell, held from that run or its replays at the later ones."""
+        _, mix, cache = _plan_entry(cfg)
+        if mix not in self._measured:
+            caches = self._mix_caches[mix]
+            trace = array("i") if len(caches) > 1 else None
+            stats = _measure(cfg, container, space, trace)
+            self._measured[mix] = _at_caches(cache, stats, trace, caches)
+        return self._measured[mix][cache]
 
 
 _active_reuse: ContextVar[PlacementReuse | None] = ContextVar(
@@ -381,8 +343,8 @@ _active_reuse: ContextVar[PlacementReuse | None] = ContextVar(
 def build_placement(cfg: BenchConfig):
     """Placement phase: a fresh space and container, all pairs inserted and
     the batch rearrangement run when the variant has one.  Returns
-    (container, space).  Inside a :class:`PlacementReuse` scope, a call
-    whose placement the scope holds gets it back instead."""
+    (container, space).  Inside a :class:`PlacementReuse` scope, the scope
+    gives the placement: built on the first call, restored on later ones."""
     cfg.validate()
     reuse = _active_reuse.get()
     if reuse is None:
@@ -491,6 +453,6 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         links = link_composition(container)
         measured = _measure(cfg, container, space)
     else:
-        links = reuse.census(cfg, container)
+        links = reuse.census(container)
         measured = reuse.measurement(cfg, container, space)
     return BenchReport(cfg, placement_stats, links, measured)

@@ -116,6 +116,24 @@ def test_links_csv_shape(tmp_path):
     assert float(local_row[2]) > 0.0
 
 
+def test_swept_values_keep_the_digits_that_tell_them_apart(tmp_path):
+    """A value "g" would round to six digits is written in full; one that
+    "g" writes exactly keeps its "g" text."""
+    out = tmp_path / "sweep.csv"
+    rc = main(TINY + ["--l-percent", "12.3456789",
+                      "--alpha", "0.8", "--alpha", "0.80000001",
+                      "--update-ratio", "0.5", "--update-ratio", "0.5000001",
+                      "--report", "both", "--out", str(out)])
+    assert rc == 0
+    assert [r[1:4] for r in read_csv(out)[1:]] == [
+        ["12.3456789", a, u] for a in ("0.8", "0.80000001")
+        for u in ("0.5", "0.5000001")]
+    assert {r[1] for r in read_csv(tmp_path / "sweep_links.csv")[1:]} == \
+        {"12.3456789"}
+    assert [cli._num(x) for x in (50.0, 1e-05, 1e+20, 0.05)] == \
+        ["50", "1e-05", "1e+20", "0.05"]
+
+
 def test_report_both_writes_a_second_file(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(TINY + ["--report", "both", "--out", str(out)])

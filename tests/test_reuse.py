@@ -1,15 +1,15 @@
 """Placement reuse within a sweep.
 
-A ``PlacementReuse`` scope is planned with the cells about to run in it and
-holds one placement: a call whose placement it holds gets it back with the
+A ``PlacementReuse`` scope is planned with the cells of one build key
+about to run in it, and refuses a plan of two keys or a cell outside its
+plan.  Its first call builds; a later call gets the placement back with the
 values, placement counters and cache capacity a fresh build at the call's
-own L leaves, and an empty cache; any other call builds afresh.  Placement
-never reads the cache, so a variant without a purely-local region has one
-build key at every L, and a reused cell at another cache size gets its
-counters from a replay of the build's page trace.  A held placement takes
-its link census once, at its key's first cell.  Each mix's queries run
-once per held placement: a cell with the key and mix at another cache size
-gets its measurement counters from a replay of their page trace.  The sweep
+own L leaves, and an empty cache.  Placement never reads the cache, so a
+variant without a purely-local region has one build key at every L, and a
+cell at another cache size gets its counters from a replay of the build's
+page trace.  The placement takes its link census once, at the first cell.
+Each mix's queries run once: a cell with the mix at another cache size gets
+its measurement counters from a replay of their page trace.  The sweep
 runs each group of cells that share a build key in one scope.  Every test
 here compares against the unscoped path, which builds afresh and runs the
 queries for every call, so reuse must be invisible in everything a cell
@@ -50,6 +50,15 @@ def grid(variant, l_percents=(25.0,)):
             for l in l_percents for a in (0.8, 1.3) for u in (0.05, 0.5)]
 
 
+def per_key(cells):
+    """The cells grouped by build key, each group in cell order: the plans
+    of the scopes the sweep opens."""
+    groups = {}
+    for c in cells:
+        groups.setdefault(build_key(c), []).append(c)
+    return list(groups.values())
+
+
 def spy_builds(monkeypatch):
     """Record the build key of every real build; at each one, no earlier
     placement may still be alive."""
@@ -72,9 +81,13 @@ def test_scoped_sweep_reports_equal_per_cell_runs(variant):
     cells = grid(variant, L_MIXED)
     assert local_budget(cells[4])[1] == 0
     fresh = [run_benchmark(c) for c in cells]
-    with PlacementReuse(cells):
-        reused = [run_benchmark(c) for c in cells]
-    assert reused == fresh
+    # each key's scope calls its cells in reverse; run_sweep calls them in order
+    reused = {}
+    for group in per_key(cells):
+        with PlacementReuse(group):
+            for c in reversed(group):
+                reused[c] = run_benchmark(c)
+    assert [reused[c] for c in cells] == fresh
     spec = cli.SweepSpec((variant,), L_MIXED, (0.8, 1.3), (0.05, 0.5), BASE)
     assert cli.run_sweep(spec, threads=1) == fresh
 
@@ -127,6 +140,19 @@ def spy_queries(monkeypatch):
     return runs
 
 
+def spy_replays(monkeypatch):
+    """Record the cache size of every trace replay the scope makes."""
+    replayed = []
+    real_replay = workload.replay_trace
+
+    def counting_replay(trace, cache_pages):
+        replayed.append(cache_pages)
+        return real_replay(trace, cache_pages)
+
+    monkeypatch.setattr(workload, "replay_trace", counting_replay)
+    return replayed
+
+
 @pytest.mark.parametrize("variant", ["dfs", "local+dfs", "skip-local+page"])
 def test_reused_replay_touches_the_pages_a_fresh_build_does(variant, monkeypatch):
     runs = spy_queries(monkeypatch)
@@ -136,13 +162,15 @@ def test_reused_replay_touches_the_pages_a_fresh_build_does(variant, monkeypatch
         run_benchmark(c)
         fresh.append(runs.pop())
     assert len(set(fresh)) >= 4   # the mixes do differ
+    want = dict(zip(cells, fresh))
     ran = []
-    with PlacementReuse(cells):
-        for c, want in zip(cells, fresh):
-            run_benchmark(c)
-            if runs:
-                assert runs.pop() == want, c
-                ran.append(c.l_percent)
+    for group in per_key(cells):
+        with PlacementReuse(group):
+            for c in group:
+                run_benchmark(c)
+                if runs:
+                    assert runs.pop() == want[c], c
+                    ran.append(c.l_percent)
     # a pooled variant's queries run at the first L only, once per mix
     assert ran == ([25.0] * 4 if variant == "dfs" else [25.0] * 4 + [50.0] * 4)
 
@@ -220,56 +248,58 @@ def test_queries_run_once_per_placement_and_mix(monkeypatch):
 
 def test_one_build_per_key_and_nothing_held_past_its_last_cell(monkeypatch):
     built = spy_builds(monkeypatch)
-    # local has a key per L, skip-page one for both; each key's cells
-    # together as the sweep runs them
+    # local has a key per L, skip-page one for both
     cells = grid("local", (10.0, 50.0)) + grid("skip-page", (10.0, 50.0))
-    with PlacementReuse(cells) as reuse:
-        for c in cells:
-            run_benchmark(c)
-            assert reuse._key == build_key(c)
+    for group in per_key(cells):
+        with PlacementReuse(group):
+            for c in group:
+                run_benchmark(c)
+        # closing the scope releases its placement
+        gc.collect()
+        assert all(ref() is None for _, ref in built)
     assert [k for k, _ in built] == list(dict.fromkeys(map(build_key, cells)))
     assert len(built) == 3
-    # closing the scope releases the last key's placement
-    gc.collect()
-    assert all(ref() is None for _, ref in built)
 
 
-def test_cells_outside_the_plan_build_afresh(monkeypatch):
+def test_a_scope_serves_its_plan_of_one_key_and_refuses_other_cells(monkeypatch):
     a, b = grid("plain")[0], grid("plain", (50.0,))[0]
     c = grid("local")[0]
     fresh = [run_benchmark(x) for x in (a, b)]
     built = spy_builds(monkeypatch)
     taken = spy_censuses(monkeypatch)
-    # planned in another order than called: b's trace serves a
+    replayed = spy_replays(monkeypatch)
+    # planned in another order than called: b's traces serve a
     with PlacementReuse([a, b]):
         assert [run_benchmark(x) for x in (b, a)] == fresh[::-1]
     assert (len(built), len(taken)) == (1, 1)
-    # a cell whose placement the scope does not hold, or outside any
-    # scope, takes its own census
-    taken.clear()
-    with PlacementReuse([a, c]):
-        for x in (a, c, a):
-            run_benchmark(x)
-    run_benchmark(a)
-    assert len(taken) == 4
-    # a plan with one cache size records no trace: another one rebuilds
+    # one replay of the build trace and one of the query trace, at a's size
+    assert replayed == [local_budget(a)[1]] * 2
+    # a plan of two keys, and a cell outside the plan
+    with pytest.raises(UsageError):
+        PlacementReuse([a, c])
+    for plan, outside in (([a], b), ([a], c), ([a, a], b)):
+        with PlacementReuse(plan), pytest.raises(UsageError):
+            run_benchmark(outside)
+    assert len(built) == 1
+    # a plan with one cache size records no trace; a later cell restores
     built.clear()
+    replayed.clear()
     with PlacementReuse([a, a]):
-        for x in (a, b, a):
-            build_placement(x)
-    assert len(built) == 2
-    # a plan of one cell per key keeps nothing: coming back rebuilds
+        for _ in range(3):
+            build_placement(a)
+    assert (len(built), replayed) == (1, [])
+    # a plan of one cell keeps nothing: coming back rebuilds
     built.clear()
-    with PlacementReuse([a, c]) as reuse:
-        for x in (a, c, a):
-            build_placement(x)
-            assert reuse._key is None
-    assert len(built) == 3
-    # with no scope open, every call builds
-    built.clear()
-    build_placement(a)
-    build_placement(a)
+    with PlacementReuse([a]):
+        build_placement(a)
+        build_placement(a)
     assert len(built) == 2
+    # with no scope open, every call builds and takes its own census
+    built.clear()
+    taken.clear()
+    run_benchmark(a)
+    run_benchmark(a)
+    assert (len(built), len(taken)) == (2, 2)
 
 
 def test_serial_sweep_builds_each_key_once_and_holds_one_placement(monkeypatch):
@@ -403,8 +433,8 @@ def _sweep_matches_the_recorded_fingerprints(monkeypatch, name):
     """Run the benchmark workload ``name`` at seed 0, full size, through
     ``run_sweep``; every cell's placement and measurement swap counts and
     link ratios must equal the fingerprints the benchmark recorded.
-    Returns the number of builds, of link censuses and of query runs the
-    sweep made."""
+    Returns the number of builds, of link censuses, of query runs and of
+    trace replays the sweep made."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -417,6 +447,7 @@ def _sweep_matches_the_recorded_fingerprints(monkeypatch, name):
     built = spy_builds(monkeypatch)
     censuses = spy_censuses(monkeypatch)
     runs = spy_queries(monkeypatch)
+    replayed = spy_replays(monkeypatch)
     got = []
     for r in cli.run_sweep(sweep, threads=1):
         c, links = r.config, r.links
@@ -427,7 +458,7 @@ def _sweep_matches_the_recorded_fingerprints(monkeypatch, name):
                     f"{links.in_page_ratio:.6f}",
                     f"{links.cross_page_ratio:.6f}"])
     assert got == want
-    return len(built), len(censuses), len(runs)
+    return len(built), len(censuses), len(runs), len(replayed)
 
 
 def test_btree_grid_matches_the_recorded_fingerprints(monkeypatch):
@@ -435,15 +466,15 @@ def test_btree_grid_matches_the_recorded_fingerprints(monkeypatch):
     13 link censuses, and 8 of them take their placement counts from a
     replayed build trace.  Its 24 pooled-variant cells share 8 (placement,
     mix) pairs, so 16 of them replay a query trace: 18 local-variant cells
-    and 8 pairs run queries."""
+    and 8 pairs run queries, and 24 traces are replayed."""
     assert _sweep_matches_the_recorded_fingerprints(
-        monkeypatch, "btree-grid") == (13, 13, 26)
+        monkeypatch, "btree-grid") == (13, 13, 26, 24)
 
 
 @pytest.mark.parametrize(("name", "builds"), [("skiplist-full", 5), ("replay-writes", 3)])
 def test_every_cell_builds_and_matches_the_recorded_fingerprints(monkeypatch, name, builds):
     """The other two benchmark sweeps: one build, one census and one query
-    run per cell.  With btree-grid they put every variant's placement under
-    a recorded fingerprint."""
+    run per cell, and no replay.  With btree-grid they put every variant's
+    placement under a recorded fingerprint."""
     assert _sweep_matches_the_recorded_fingerprints(
-        monkeypatch, name) == (builds, builds, builds)
+        monkeypatch, name) == (builds, builds, builds, 0)
