@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -421,18 +421,6 @@ class Space:
         dirty bits, which the reference LRU models check."""
         res = self._resident
         return tuple(res.keys()), frozenset(p for p, d in res.items() if d)
-
-    def restore(self, stats: SwapStats, cache_pages: int) -> None:
-        """Drop every cached page without counting it, make the cache
-        ``cache_pages`` pages (``cfg`` follows) and set the counters to
-        ``stats``; blocks and pages are left as they are."""
-        if cache_pages < 0:
-            raise UsageError(f"cache capacity must be >= 0, got {cache_pages}")
-        if cache_pages != self._cache_cap:
-            self.cfg = replace(self.cfg, cache_capacity_pages=cache_pages)
-            self._cache_cap = cache_pages
-        self._resident.clear()
-        self._swap_ins, self._write_backs = stats.swap_ins, stats.write_backs
 
     def set_trace(self, sink):
         """Append every swappable page touch to ``sink`` as the int

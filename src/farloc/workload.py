@@ -23,13 +23,15 @@ one key at every L.  The query script reads the build key's fields and the
 mix (skew, update ratio, query count) and never the cache, so one
 (placement, mix) pair makes one page trace at every cache size.  The link
 census reads the placement alone.  A :class:`PlacementReuse` scope serves
-the cells of one build key: it builds the placement once, takes its census
-once and runs each mix's queries once, and gets the counters at the plan's
-other cache sizes from replays of the page traces
-(:func:`farloc.farmem.replay_trace`): under strict LRU the swap-ins and
-write-backs at any capacity follow from the page-reference string alone
-(Mattson et al., 1970).  A plan of two keys, or a cell outside the plan, is
-a :class:`~farloc.farmem.UsageError`.
+the cells of one build key: it builds the placement once, at its first
+cell's cache size, takes its census once and runs each mix's queries once
+on that space, and gets the counters at the plan's other cache sizes from
+replays of the page traces (:func:`farloc.farmem.replay_trace`): under
+strict LRU the swap-ins and write-backs at any capacity follow from the
+page-reference string alone (Mattson et al., 1970).  The scope hands each
+cell its placement counters, census and measurement counters, and never
+rewinds the space it holds.  A plan of two keys, or a cell outside the
+plan, is a :class:`~farloc.farmem.UsageError`.
 """
 from __future__ import annotations
 
@@ -235,43 +237,34 @@ def _plan_entry(cfg: BenchConfig) -> tuple:
             local_budget(cfg)[1])
 
 
-def _at_caches(cache: int, stats: SwapStats, trace: array | None,
-               caches: set[int]) -> dict[int, SwapStats]:
-    """{cache size: swap counters} over ``caches``: the run's own at
-    ``cache``, and a replay of its page trace at each other size."""
-    return {c: stats if c == cache else replay_trace(trace, c) for c in caches}
-
-
 class PlacementReuse:
     """A scope, opened as a context manager, that runs the cells of one
     build key on one placement: it builds the placement once, takes its
-    link census once and runs each mix's queries once.
+    link census once and runs each mix's queries once, and hands each cell
+    its placement counters, link census and measurement counters.
 
     The plan is the cells the caller is about to run inside the scope, in
     any order.  A plan with cells of two build keys, or a call for a cell
     outside the plan, raises :class:`UsageError`.
 
-    The first call builds.  When the plan has more than one cache size, the
-    build records its page trace and, once it ends, replays it at every
-    other planned size (:func:`replay_trace`); the trace is then dropped.
-    When the plan has a later cell, the scope keeps the container, space,
-    stored values and these placement counters.  A later call gets the same
-    container and space back with the values restored, the cache capacity
-    and placement counters of its own L, and an empty cache.  A fresh build
-    would leave its cache full, but a cell reads only the counters before
-    :func:`run_benchmark` drops the cache, and the link census touches
-    nothing.  Query replay changes nothing else, because an update rewrites
-    a value in place and a scan only reads.
+    The first call builds at its own cache size, the build's cache, and
+    every query run happens on that space at that cache.  When the plan has
+    more than one cache size, the build and each mix's query run record
+    their page traces, and once a run ends its trace is replayed at every
+    other planned size (:func:`replay_trace`) and dropped: under strict LRU
+    the counters at any size follow from the page-reference string alone.
+    A replay starts from an empty cache and ends without a flush, as the
+    measurement phase does.  The counters of every planned size are held
+    in ``{cache: SwapStats}`` dicts, the placement's and each mix's.
 
-    Nothing after the build changes a structural link: restoring values or
-    counters leaves blocks and pages alone, and queries only rewrite values.
-    So the link census, taken at the first cell, serves every later one.
-
-    The measurement phase is kept the same way, per mix: a mix's first cell
-    runs its queries, recording their page trace when the plan has the mix
-    at more than one cache size, and the trace is replayed at the mix's
-    other sizes.  A replay starts from an empty cache and ends without a
-    flush, as the measurement phase does.  The mix's other cells run no
+    When the plan has a later cell, the scope keeps the container, space
+    and stored values, and a later call restores the values and gives the
+    same container and space back, changing nothing else.  Nothing else
+    needs it: a query run changes only values (an update rewrites one in
+    place, a scan only reads), and no cell reads the space's cache or
+    counters, which a query run drops before its first query.  Nothing
+    after the build changes a structural link, so the link census, taken
+    at the first cell, serves every later one.  A mix's later cells run no
     queries.  Closing the scope drops the placement.
     """
 
@@ -281,15 +274,12 @@ class PlacementReuse:
             raise UsageError("a reuse scope serves the cells of one build key")
         self._plan = set(entries)
         self._caches = {cache for _, _, cache in self._plan}
-        self._mix_caches: dict[tuple, set[int]] = {}
-        for _, mix, cache in self._plan:
-            self._mix_caches.setdefault(mix, set()).add(cache)
         self._hold = len(entries) > 1
         self._container = self._space = self._values = None
+        # {cache size: swap counters}: the placement's, and each mix's
         self._placed: dict[int, SwapStats] = {}
-        self._links: LinkComposition | None = None
-        # mix -> {cache size: the measurement counters of its queries}
         self._measured: dict[tuple, dict[int, SwapStats]] = {}
+        self._links: LinkComposition | None = None
         self._token = None
 
     def __enter__(self) -> PlacementReuse:
@@ -300,22 +290,34 @@ class PlacementReuse:
         _active_reuse.reset(self._token)
         self._container = self._space = self._values = None
 
+    def _trace(self) -> array | None:
+        """A sink for a run's page trace when another planned size needs it."""
+        return array("i") if len(self._caches) > 1 else None
+
+    def _at_caches(self, space: Space, trace: array | None) -> dict[int, SwapStats]:
+        """{cache size: swap counters} over the plan: the run's own at the
+        space's cache, and a replay of its page trace at each other size."""
+        cache, stats = space.cfg.cache_capacity_pages, space.stats()
+        return {c: stats if c == cache else replay_trace(trace, c)
+                for c in self._caches}
+
     def placement(self, cfg: BenchConfig):
-        entry = _plan_entry(cfg)
-        if entry not in self._plan:
+        if _plan_entry(cfg) not in self._plan:
             raise UsageError(f"{cfg} is outside this reuse scope's plan")
-        cache = entry[2]
         if self._container is not None:
             self._container.restore_values(self._values)
-            self._space.restore(self._placed[cache], cache)
             return self._container, self._space
-        trace = array("i") if len(self._caches) > 1 else None
+        trace = self._trace()
         container, space = _build(cfg, trace)
+        self._placed = self._at_caches(space, trace)
         if self._hold:
             self._container, self._space = container, space
             self._values = container.save_values()
-            self._placed = _at_caches(cache, space.stats(), trace, self._caches)
         return container, space
+
+    def placement_stats(self, cfg: BenchConfig) -> SwapStats:
+        """The placement counters a fresh build of ``cfg`` leaves."""
+        return self._placed[local_budget(cfg)[1]]
 
     def census(self, container) -> LinkComposition:
         """The link census of the placement: held, or taken now."""
@@ -325,14 +327,13 @@ class PlacementReuse:
 
     def measurement(self, cfg: BenchConfig, container, space) -> SwapStats:
         """The measurement counters of ``cfg`` on the placement
-        :meth:`placement` just gave it: from its queries at the mix's first
-        cell, held from that run or its replays at the later ones."""
+        :meth:`placement` just gave it: its mix's queries run at the mix's
+        first cell, and every cell reads the counters at its own size."""
         _, mix, cache = _plan_entry(cfg)
         if mix not in self._measured:
-            caches = self._mix_caches[mix]
-            trace = array("i") if len(caches) > 1 else None
-            stats = _measure(cfg, container, space, trace)
-            self._measured[mix] = _at_caches(cache, stats, trace, caches)
+            trace = self._trace()
+            _measure(cfg, container, space, trace)
+            self._measured[mix] = self._at_caches(space, trace)
         return self._measured[mix][cache]
 
 
@@ -344,7 +345,8 @@ def build_placement(cfg: BenchConfig):
     """Placement phase: a fresh space and container, all pairs inserted and
     the batch rearrangement run when the variant has one.  Returns
     (container, space).  Inside a :class:`PlacementReuse` scope, the scope
-    gives the placement: built on the first call, restored on later ones."""
+    gives the placement: built on the first call, the same one with its
+    values restored on later ones."""
     cfg.validate()
     reuse = _active_reuse.get()
     if reuse is None:
@@ -444,15 +446,16 @@ def _measure(cfg: BenchConfig, container, space: Space,
 
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
     """One cell: placement, link census, measurement.  Inside a
-    :class:`PlacementReuse` scope the scope may give the placement, the
-    census and the measurement counters from what it holds."""
+    :class:`PlacementReuse` scope the scope hands the cell its placement
+    counters, its census and its measurement counters."""
     container, space = build_placement(cfg)
-    placement_stats = space.stats()
     reuse = _active_reuse.get()
     if reuse is None:
+        placement_stats = space.stats()
         links = link_composition(container)
         measured = _measure(cfg, container, space)
     else:
+        placement_stats = reuse.placement_stats(cfg)
         links = reuse.census(container)
         measured = reuse.measurement(cfg, container, space)
     return BenchReport(cfg, placement_stats, links, measured)

@@ -266,41 +266,6 @@ def test_residency_reports_lru_order_and_dirty_set(space_with_page_blocks):
     assert dirty == frozenset({1})
 
 
-def test_restore_drops_the_cache_uncounted_and_sets_the_counters(
-        space_with_page_blocks):
-    space, (a, b, c) = space_with_page_blocks(cache_pages=2, n_pages=3)
-    space.touch(a, 4096, is_write=True)
-    space.touch(b, 4096)
-    space.restore(SwapStats(5, 1), cache_pages=2)
-    # the dirty page went without a write-back
-    assert (space.stats(), space.residency()) == (SwapStats(5, 1),
-                                                  ((), frozenset()))
-    assert space.cfg == SpaceConfig(4096, 0, 2)
-    space.touch(b, 4096)                       # b was dropped too
-    assert space.stats() == SwapStats(6, 1)
-    with pytest.raises(UsageError):
-        space.restore(SwapStats(), cache_pages=-1)
-    assert space.cfg.cache_capacity_pages == 2
-    assert space.stats() == SwapStats(6, 1)
-    assert space.residency() == ((1,), frozenset())
-
-
-def test_restore_takes_a_new_cache_capacity(space_with_page_blocks):
-    space, (a, b, c) = space_with_page_blocks(cache_pages=1, n_pages=3)
-    space.touch(a, 4096)
-    space.restore(SwapStats(5, 1), cache_pages=3)
-    assert space.cfg == SpaceConfig(4096, 0, 3)
-    for h in (a, b, c, a):                     # three fit
-        space.touch(h, 4096)
-    assert space.stats() == SwapStats(8, 1)
-    assert space.residency() == ((1, 2, 0), frozenset())
-    space.restore(SwapStats(), cache_pages=0)
-    assert space.cfg.cache_capacity_pages == 0
-    space.touch(a, 4096, is_write=True)        # written straight back
-    assert (space.stats(), space.residency()) == (SwapStats(1, 1),
-                                                  ((), frozenset()))
-
-
 def test_lru_matches_naive_model_on_random_scripts(space_with_page_blocks):
     rng = random.Random(42)
     for _ in range(300):

@@ -2,18 +2,19 @@
 
 A ``PlacementReuse`` scope is planned with the cells of one build key
 about to run in it, and refuses a plan of two keys or a cell outside its
-plan.  Its first call builds; a later call gets the placement back with the
-values, placement counters and cache capacity a fresh build at the call's
-own L leaves, and an empty cache.  Placement never reads the cache, so a
-variant without a purely-local region has one build key at every L, and a
-cell at another cache size gets its counters from a replay of the build's
-page trace.  The placement takes its link census once, at the first cell.
-Each mix's queries run once: a cell with the mix at another cache size gets
-its measurement counters from a replay of their page trace.  The sweep
-runs each group of cells that share a build key in one scope.  Every test
-here compares against the unscoped path, which builds afresh and runs the
-queries for every call, so reuse must be invisible in everything a cell
-reports.
+plan.  Its first call builds at its own cache size; a later call gets the
+same container and space back with the values a fresh build leaves, and
+the space's cache size and counters untouched.  The scope hands each cell
+its placement counters, link census and measurement counters.  Placement
+never reads the cache, so a variant without a purely-local region has one
+build key at every L.  The placement takes its link census once, at the
+first cell, and each mix's queries run once, on the held space.  When the
+plan has more than one cache size, the build's page trace and each mix's
+are replayed at every other planned size, and a cell at another size gets
+its counters from those replays.  The sweep runs each group of cells that
+share a build key in one scope.  Every test here compares against the
+unscoped path, which builds afresh and runs the queries for every call, so
+reuse must be invisible in everything a cell reports.
 """
 import gc
 import hashlib
@@ -29,7 +30,8 @@ from pathlib import Path
 import pytest
 
 from farloc import cli, workload
-from farloc.farmem import Space, SwapStats, UsageError, replay_trace
+from farloc.farmem import (Space, SpaceConfig, SwapStats, UsageError,
+                           replay_trace)
 from farloc.workload import (VARIANTS, BenchConfig, PlacementReuse,
                              build_key, build_placement, local_budget,
                              query_script, run_benchmark, run_queries)
@@ -333,31 +335,26 @@ def test_build_key_holds_what_a_build_reads():
 
 
 def snapshot(container, space):
-    """What a cell reads of its placement: run_benchmark drops the cache
-    before its first query."""
-    return (container.items(), container.node_handles(), space.stats(),
-            space.num_pages, space.cfg)
-
-
-EMPTY = ((), frozenset())
+    """What a cell reads of its placement beyond the counters, which the
+    scope hands it."""
+    return container.items(), container.node_handles(), space.num_pages
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_restore_gives_back_the_post_build_state(variant):
     cell = replace(BASE, variant=variant, update_ratio=1.0)
-    want = snapshot(*build_placement(cell))
-    with PlacementReuse([cell, cell]):
+    fresh = build_placement(cell)
+    want = snapshot(*fresh)
+    with PlacementReuse([cell, cell]) as reuse:
         container, space = build_placement(cell)
-        space.evict_all()
-        space.reset_stats()
+        cfg = space.cfg
         run_queries(container, query_script(cell))    # updates only
         assert container.items() != want[0]
-        assert space.stats() != want[2]
-        assert space.residency() != EMPTY
         again = build_placement(cell)
+        assert reuse.placement_stats(cell) == fresh[1].stats()
     assert again == (container, space)
     assert snapshot(*again) == want
-    assert space.residency() == EMPTY
+    assert space.cfg is cfg and cfg == fresh[1].cfg
     container.validate()
 
 
@@ -367,22 +364,23 @@ def test_reuse_at_another_l_gives_the_state_of_a_fresh_build_there(variant):
     cells = [replace(BASE, variant=variant, l_percent=l, update_ratio=1.0)
              for l in L_MIXED]
     assert local_budget(cells[1])[1] == 0
-    want = [snapshot(*build_placement(c)) for c in cells]
-    with PlacementReuse(cells):
-        got, caches = [], []
+    fresh = [build_placement(c) for c in cells]
+    with PlacementReuse(cells) as reuse:
+        got, placed = [], []
         for cell in cells:
             container, space = build_placement(cell)
             got.append(snapshot(container, space))
-            caches.append(space.residency())
+            placed.append(reuse.placement_stats(cell))
+            # the held space keeps the first cell's cache
+            assert space.cfg == fresh[0][1].cfg
             run_queries(container, query_script(cell))
-    assert got == want
-    # the first cell built the placement; every later one gets an empty cache
-    assert caches[1:] == [EMPTY] * (len(cells) - 1)
-    assert len({w[2] for w in want}) == 3      # the placement stats differ
+    assert got == [snapshot(*f) for f in fresh]
+    assert placed == [s.stats() for _, s in fresh]
+    assert len(set(placed)) == 3      # the placement stats differ
     container.validate()
 
 
-def test_replay_trace_restores_through_a_validated_capacity():
+def test_a_build_trace_replays_as_fresh_builds_at_0_and_1_pages():
     cell = replace(BASE, variant="plain")
     trace = array("i")
     container, space = workload._build(cell, trace)
@@ -391,12 +389,27 @@ def test_replay_trace_restores_through_a_validated_capacity():
         fresh = workload._build(replace(cell, l_percent=l))[1]
         assert fresh.cfg.cache_capacity_pages == small
         assert replay_trace(trace, small) == fresh.stats()
-    space.restore(replay_trace(trace, 1), 1)
-    assert (space.stats(), space.residency(), space.cfg.cache_capacity_pages) \
-        == (replay_trace(trace, 1), EMPTY, 1)
-    with pytest.raises(UsageError):
-        space.restore(SwapStats(), -1)
-    assert space.cfg.cache_capacity_pages == 1
+
+
+def test_a_plan_that_is_not_a_product_replays_every_trace_at_the_other_size(
+        monkeypatch):
+    """Two cells of one key at two cache sizes with two mixes: the build
+    and both query runs happen at the first-called cell's cache, and each
+    of the three traces is replayed once, at the other cell's size."""
+    a = replace(BASE, variant="plain", l_percent=25.0, alpha=0.8,
+                update_ratio=0.05)
+    b = replace(BASE, variant="plain", l_percent=50.0, alpha=1.3,
+                update_ratio=0.5)
+    fresh = {x: run_benchmark(x) for x in (a, b)}
+    replayed = spy_replays(monkeypatch)
+    for first, second in ((a, b), (b, a)):
+        replayed.clear()
+        built_cfg = SpaceConfig(BASE.page_size_bytes, 0, local_budget(first)[1])
+        with PlacementReuse([a, b]):
+            for x in (first, second):
+                assert run_benchmark(x) == fresh[x]
+                assert build_placement(x)[1].cfg == built_cfg
+        assert replayed == [local_budget(second)[1]] * 3
 
 
 def test_a_real_query_trace_replays_as_the_reference_lrus_do():
