@@ -22,16 +22,18 @@ page-cache size, so cells that differ only in those have one build key
 one key at every L.  The query script reads the build key's fields and the
 mix (skew, update ratio, query count) and never the cache, so one
 (placement, mix) pair makes one page trace at every cache size.  The link
-census reads the placement alone.  A :class:`PlacementReuse` scope serves
-the cells of one build key: it builds the placement once, at its first
-cell's cache size, takes its census once and runs each mix's queries once
-on that space, and gets the counters at the plan's other cache sizes from
-replays of the page traces (:func:`farloc.farmem.replay_trace`): under
-strict LRU the swap-ins and write-backs at any capacity follow from the
-page-reference string alone (Mattson et al., 1970).  The scope hands each
-cell its placement counters, census and measurement counters, and never
-rewinds the space it holds.  A plan of two keys, or a cell outside the
-plan, is a :class:`~farloc.farmem.UsageError`.
+census reads the placement alone.  Every cell runs in a
+:class:`PlacementReuse` scope, which serves the cells of one build key: it
+builds the placement once, at its first cell's cache size, takes its
+census once and runs each mix's queries once on that space, and gets the
+counters at the plan's other cache sizes from replays of the page traces
+(:func:`farloc.farmem.replay_trace`): under strict LRU the swap-ins and
+write-backs at any capacity follow from the page-reference string alone
+(Mattson et al., 1970).  The scope hands each cell its whole report and
+never rewinds the space it holds.  :func:`run_benchmark` outside a scope
+opens a scope of its one cell, which records, replays and holds nothing.
+A plan of two keys, or a cell outside the plan, is a
+:class:`~farloc.farmem.UsageError`.
 """
 from __future__ import annotations
 
@@ -241,11 +243,12 @@ class PlacementReuse:
     """A scope, opened as a context manager, that runs the cells of one
     build key on one placement: it builds the placement once, takes its
     link census once and runs each mix's queries once, and hands each cell
-    its placement counters, link census and measurement counters.
+    its report (:meth:`report`).
 
     The plan is the cells the caller is about to run inside the scope, in
-    any order.  A plan with cells of two build keys, or a call for a cell
-    outside the plan, raises :class:`UsageError`.
+    any order; each is validated before the scope reads it.  A plan with
+    cells of two build keys, or a call for a cell outside the plan, raises
+    :class:`UsageError`.
 
     The first call builds at its own cache size, the build's cache, and
     every query run happens on that space at that cache.  When the plan has
@@ -255,7 +258,8 @@ class PlacementReuse:
     the counters at any size follow from the page-reference string alone.
     A replay starts from an empty cache and ends without a flush, as the
     measurement phase does.  The counters of every planned size are held
-    in ``{cache: SwapStats}`` dicts, the placement's and each mix's.
+    in ``{cache: SwapStats}`` dicts, the placement's and each mix's.  A
+    plan of one cell records, replays and holds nothing.
 
     When the plan has a later cell, the scope keeps the container, space
     and stored values, and a later call restores the values and gives the
@@ -269,12 +273,15 @@ class PlacementReuse:
     """
 
     def __init__(self, cells):
+        cells = list(cells)
+        for c in cells:
+            c.validate()
         entries = [_plan_entry(c) for c in cells]
         if len({key for key, _, _ in entries}) > 1:
             raise UsageError("a reuse scope serves the cells of one build key")
-        self._plan = set(entries)
-        self._caches = {cache for _, _, cache in self._plan}
-        self._hold = len(entries) > 1
+        self._cells = set(cells)
+        self._caches = {cache for _, _, cache in entries}
+        self._hold = len(cells) > 1
         self._container = self._space = self._values = None
         # {cache size: swap counters}: the placement's, and each mix's
         self._placed: dict[int, SwapStats] = {}
@@ -302,7 +309,7 @@ class PlacementReuse:
                 for c in self._caches}
 
     def placement(self, cfg: BenchConfig):
-        if _plan_entry(cfg) not in self._plan:
+        if cfg not in self._cells:
             raise UsageError(f"{cfg} is outside this reuse scope's plan")
         if self._container is not None:
             self._container.restore_values(self._values)
@@ -315,26 +322,20 @@ class PlacementReuse:
             self._values = container.save_values()
         return container, space
 
-    def placement_stats(self, cfg: BenchConfig) -> SwapStats:
-        """The placement counters a fresh build of ``cfg`` leaves."""
-        return self._placed[local_budget(cfg)[1]]
-
-    def census(self, container) -> LinkComposition:
-        """The link census of the placement: held, or taken now."""
+    def report(self, cfg: BenchConfig, container, space) -> BenchReport:
+        """The report of ``cfg`` on the placement :meth:`placement` just
+        gave it: the link census, taken at the first cell, then its mix's
+        queries, run at the mix's first cell; every cell reads the
+        placement and measurement counters at its own cache size."""
+        _, mix, cache = _plan_entry(cfg)
         if self._links is None:
             self._links = link_composition(container)
-        return self._links
-
-    def measurement(self, cfg: BenchConfig, container, space) -> SwapStats:
-        """The measurement counters of ``cfg`` on the placement
-        :meth:`placement` just gave it: its mix's queries run at the mix's
-        first cell, and every cell reads the counters at its own size."""
-        _, mix, cache = _plan_entry(cfg)
         if mix not in self._measured:
             trace = self._trace()
             _measure(cfg, container, space, trace)
             self._measured[mix] = self._at_caches(space, trace)
-        return self._measured[mix][cache]
+        return BenchReport(cfg, self._placed[cache], self._links,
+                           self._measured[mix][cache])
 
 
 _active_reuse: ContextVar[PlacementReuse | None] = ContextVar(
@@ -346,10 +347,10 @@ def build_placement(cfg: BenchConfig):
     the batch rearrangement run when the variant has one.  Returns
     (container, space).  Inside a :class:`PlacementReuse` scope, the scope
     gives the placement: built on the first call, the same one with its
-    values restored on later ones."""
-    cfg.validate()
+    values restored on later ones; the scope validated its plan."""
     reuse = _active_reuse.get()
     if reuse is None:
+        cfg.validate()
         return _build(cfg)
     return reuse.placement(cfg)
 
@@ -433,29 +434,23 @@ def run_queries(container, script: list[QueryOp]) -> None:
 
 
 def _measure(cfg: BenchConfig, container, space: Space,
-             trace: array | None = None) -> SwapStats:
-    """Measurement phase: drop every cached page and the counters, run the
-    query script and return the counters; with ``trace``, its page touches
-    are recorded there (:func:`_recording`)."""
+             trace: array | None = None) -> None:
+    """Measurement phase: drop every cached page and the counters, then run
+    the query script, which leaves its counters in ``space``; with
+    ``trace``, its page touches are recorded there (:func:`_recording`)."""
     space.evict_all()
     space.reset_stats()
     with _recording(space, trace):
         run_queries(container, query_script(cfg))
-    return space.stats()
 
 
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
-    """One cell: placement, link census, measurement.  Inside a
-    :class:`PlacementReuse` scope the scope hands the cell its placement
-    counters, its census and its measurement counters."""
-    container, space = build_placement(cfg)
+    """One cell: placement, link census, measurement, always in a
+    :class:`PlacementReuse` scope, which hands the cell its report.  With
+    no scope open, the cell runs in a scope of its own."""
     reuse = _active_reuse.get()
     if reuse is None:
-        placement_stats = space.stats()
-        links = link_composition(container)
-        measured = _measure(cfg, container, space)
-    else:
-        placement_stats = reuse.placement_stats(cfg)
-        links = reuse.census(container)
-        measured = reuse.measurement(cfg, container, space)
-    return BenchReport(cfg, placement_stats, links, measured)
+        with PlacementReuse([cfg]):
+            return run_benchmark(cfg)
+    container, space = build_placement(cfg)
+    return reuse.report(cfg, container, space)

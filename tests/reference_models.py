@@ -2,9 +2,25 @@
 
 Everything here is written for obviousness, not speed: the naive LRU keeps a
 plain list, the allocator oracle marks individual bytes.  They share no code
-with the package under test.
+with the package under test, except ``fresh_report``, which runs the
+package's build, census and query run without its reuse scope.
 """
+from farloc import workload
 from farloc.farmem import SWAP_BASE
+from farloc.metrics import link_composition
+
+
+def fresh_report(cfg):
+    """The report of one cell built and measured afresh.  It shares the
+    package's build (``workload._build``), link census and query run
+    (``workload._measure``), and avoids any reuse scope: it holds no
+    placement, records no trace and replays nothing, so the scope's reports
+    can be compared with it."""
+    container, space = workload._build(cfg)
+    placed = space.stats()
+    links = link_composition(container)
+    workload._measure(cfg, container, space)
+    return workload.BenchReport(cfg, placed, links, space.stats())
 
 
 class NaiveLru:

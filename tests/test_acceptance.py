@@ -16,8 +16,9 @@ its other L replay the build and query page traces; a variant with a
 purely-local region is built once per L and shares the build and its census
 across the four mixes.  A spy on the library's build notes what A7 and A8
 read of each placement.
-test_replayed_cells_match_direct_runs pins both shortcuts against direct
-single-cell runs.
+test_replayed_cells_match_direct_runs pins both shortcuts against
+``reference_models.fresh_report``, a single cell built and measured
+without any reuse scope.
 """
 import random
 from bisect import bisect_left, insort
@@ -35,8 +36,8 @@ from farloc.containers.skiplist import MAX_LEVEL
 from farloc.farmem import Space, SpaceConfig
 from farloc.metrics import link_composition
 from farloc.workload import (VARIANTS, BenchConfig, local_budget,
-                             placement_keys, run_benchmark, variant_uses_local)
-from reference_models import NaiveLru
+                             placement_keys, variant_uses_local)
+from reference_models import NaiveLru, fresh_report
 
 BASE = BenchConfig()
 L_SWEEP = (5.0, 10.0, 25.0, 50.0, 100.0, 200.0)
@@ -217,7 +218,7 @@ def test_a2_hint_insert_mismatch(verdict):
 
 def test_replayed_cells_match_direct_runs(lab):
     for variant, l in (("dfs", 25.0), ("local", 10.0)):
-        direct = run_benchmark(SweepLab._cfg(variant, l, 1.3, 0.5))
+        direct = fresh_report(SweepLab._cfg(variant, l, 1.3, 0.5))
         assert lab.report(variant, l, 1.3, 0.5) == direct
 
 

@@ -12,9 +12,12 @@ first cell, and each mix's queries run once, on the held space.  When the
 plan has more than one cache size, the build's page trace and each mix's
 are replayed at every other planned size, and a cell at another size gets
 its counters from those replays.  The sweep runs each group of cells that
-share a build key in one scope.  Every test here compares against the
-unscoped path, which builds afresh and runs the queries for every call, so
-reuse must be invisible in everything a cell reports.
+share a build key in one scope, and ``run_benchmark`` outside a scope
+runs its cell in a scope of its own, so every cell goes through the scope.
+Every test here compares against ``reference_models.fresh_report``, which
+builds afresh and runs the queries for every call without any scope, so
+reuse must be invisible in everything a cell reports.  A scope validates
+its plan, and refuses a bad cell with ``ConfigError``.
 """
 import gc
 import hashlib
@@ -30,12 +33,13 @@ from pathlib import Path
 import pytest
 
 from farloc import cli, workload
-from farloc.farmem import (Space, SpaceConfig, SwapStats, UsageError,
-                           replay_trace)
+from farloc.containers import BTree
+from farloc.farmem import (ConfigError, Space, SpaceConfig, SwapStats,
+                           UsageError, replay_trace)
 from farloc.workload import (VARIANTS, BenchConfig, PlacementReuse,
                              build_key, build_placement, local_budget,
                              query_script, run_benchmark, run_queries)
-from reference_models import NaiveLru, ReplayLru
+from reference_models import NaiveLru, ReplayLru, fresh_report
 
 BASE = BenchConfig(total_data_bytes=64 * 1024, l_percent=25.0,
                    num_queries=200, seed=2)
@@ -82,7 +86,7 @@ def spy_builds(monkeypatch):
 def test_scoped_sweep_reports_equal_per_cell_runs(variant):
     cells = grid(variant, L_MIXED)
     assert local_budget(cells[4])[1] == 0
-    fresh = [run_benchmark(c) for c in cells]
+    fresh = [fresh_report(c) for c in cells]
     # each key's scope calls its cells in reverse; run_sweep calls them in order
     reused = {}
     for group in per_key(cells):
@@ -142,6 +146,24 @@ def spy_queries(monkeypatch):
     return runs
 
 
+def spy_traces(monkeypatch):
+    """Record the trace argument of every build and query run, in order."""
+    traces = []
+    real_build, real_measure = workload._build, workload._measure
+
+    def keeping_build(cfg, trace=None):
+        traces.append(trace)
+        return real_build(cfg, trace)
+
+    def keeping_measure(cfg, container, space, trace=None):
+        traces.append(trace)
+        real_measure(cfg, container, space, trace)
+
+    monkeypatch.setattr(workload, "_build", keeping_build)
+    monkeypatch.setattr(workload, "_measure", keeping_measure)
+    return traces
+
+
 def spy_replays(monkeypatch):
     """Record the cache size of every trace replay the scope makes."""
     replayed = []
@@ -161,7 +183,7 @@ def test_reused_replay_touches_the_pages_a_fresh_build_does(variant, monkeypatch
     cells = grid(variant, (25.0, 50.0))
     fresh = []
     for c in cells:
-        run_benchmark(c)
+        fresh_report(c)
         fresh.append(runs.pop())
     assert len(set(fresh)) >= 4   # the mixes do differ
     want = dict(zip(cells, fresh))
@@ -182,8 +204,7 @@ def test_a_sink_installed_at_space_creation_sees_every_build_touch(
         variant, monkeypatch):
     """A recording build or query run hands a sink already installed every
     touch, in order, and its trace holds the same touches."""
-    sinks, traces = [], []
-    real_build, real_measure = workload._build, workload._measure
+    sinks = []
 
     class TracedSpace(Space):
         def __init__(self, cfg):
@@ -191,21 +212,12 @@ def test_a_sink_installed_at_space_creation_sees_every_build_touch(
             sinks.append([])
             self.set_trace(sinks[-1])
 
-    def keeping_build(cfg, trace=None):
-        traces.append(trace)
-        return real_build(cfg, trace)
-
-    def keeping_measure(cfg, container, space, trace=None):
-        traces.append(trace)
-        return real_measure(cfg, container, space, trace)
-
     monkeypatch.setattr(workload, "Space", TracedSpace)
-    monkeypatch.setattr(workload, "_build", keeping_build)
-    monkeypatch.setattr(workload, "_measure", keeping_measure)
+    traces = spy_traces(monkeypatch)
     cells = grid(variant, (25.0, 50.0))
     workload._build(cells[0])
     for c in cells[:4]:
-        run_benchmark(c)
+        fresh_report(c)
     build_touches = sinks[0]
     # each mix's query touches follow the build's in a fresh cell's sink
     query_touches = [s[len(build_touches):] for s in sinks[1:]]
@@ -266,10 +278,18 @@ def test_one_build_per_key_and_nothing_held_past_its_last_cell(monkeypatch):
 def test_a_scope_serves_its_plan_of_one_key_and_refuses_other_cells(monkeypatch):
     a, b = grid("plain")[0], grid("plain", (50.0,))[0]
     c = grid("local")[0]
-    fresh = [run_benchmark(x) for x in (a, b)]
+    fresh = [fresh_report(x) for x in (a, b)]
     built = spy_builds(monkeypatch)
     taken = spy_censuses(monkeypatch)
     replayed = spy_replays(monkeypatch)
+    saved = []          # the node count of every tree whose values are saved
+    real_save = BTree.save_values
+
+    def counting_save(tree):
+        saved.append(tree.node_count)
+        return real_save(tree)
+
+    monkeypatch.setattr(BTree, "save_values", counting_save)
     # planned in another order than called: b's traces serve a
     with PlacementReuse([a, b]):
         assert [run_benchmark(x) for x in (b, a)] == fresh[::-1]
@@ -286,22 +306,44 @@ def test_a_scope_serves_its_plan_of_one_key_and_refuses_other_cells(monkeypatch)
     # a plan with one cache size records no trace; a later cell restores
     built.clear()
     replayed.clear()
+    saved.clear()
     with PlacementReuse([a, a]):
         for _ in range(3):
             build_placement(a)
-    assert (len(built), replayed) == (1, [])
+    assert (len(built), replayed, len(saved)) == (1, [], 1)
     # a plan of one cell keeps nothing: coming back rebuilds
     built.clear()
     with PlacementReuse([a]):
         build_placement(a)
         build_placement(a)
     assert len(built) == 2
-    # with no scope open, every call builds and takes its own census
+    # with no scope open, every call runs in a scope of its own cell: it
+    # builds and takes its own census, and records, replays and holds nothing
+    traces = spy_traces(monkeypatch)
     built.clear()
     taken.clear()
+    replayed.clear()
+    saved.clear()
     run_benchmark(a)
     run_benchmark(a)
     assert (len(built), len(taken)) == (2, 2)
+    assert (replayed, saved) == ([], [])
+    # a build and a query run per call
+    assert traces == [None] * 4
+
+
+@pytest.mark.parametrize("bad", [
+    replace(BASE, variant="nope"), replace(BASE, l_percent=float("nan")),
+    replace(BASE, l_percent=0.0)], ids=["variant", "l-nan", "l-zero"])
+def test_a_bad_cell_is_a_config_error_in_a_plan_and_outside_a_scope(
+        bad, monkeypatch):
+    built = spy_builds(monkeypatch)
+    for plan in ([bad], [BASE, bad]):
+        with pytest.raises(ConfigError):
+            PlacementReuse(plan)
+    with pytest.raises(ConfigError):
+        run_benchmark(bad)
+    assert built == []
 
 
 def test_serial_sweep_builds_each_key_once_and_holds_one_placement(monkeypatch):
@@ -309,7 +351,7 @@ def test_serial_sweep_builds_each_key_once_and_holds_one_placement(monkeypatch):
     spec = cli.SweepSpec(("plain", "local"), (10.0, 50.0, 10.0), (0.8,),
                          (0.05, 0.5), BASE)
     cells = spec.cells()
-    fresh = [run_benchmark(c) for c in cells]
+    fresh = [fresh_report(c) for c in cells]
     pooled = cli.run_sweep(spec, threads=2)
     built = spy_builds(monkeypatch)
     serial = cli.run_sweep(spec, threads=1)
@@ -345,13 +387,15 @@ def test_restore_gives_back_the_post_build_state(variant):
     cell = replace(BASE, variant=variant, update_ratio=1.0)
     fresh = build_placement(cell)
     want = snapshot(*fresh)
-    with PlacementReuse([cell, cell]) as reuse:
+    with PlacementReuse([cell, cell]):
         container, space = build_placement(cell)
         cfg = space.cfg
         run_queries(container, query_script(cell))    # updates only
         assert container.items() != want[0]
+        # the cell's own query run updates values again; the next call
+        # restores them
+        assert run_benchmark(cell).placement_stats == fresh[1].stats()
         again = build_placement(cell)
-        assert reuse.placement_stats(cell) == fresh[1].stats()
     assert again == (container, space)
     assert snapshot(*again) == want
     assert space.cfg is cfg and cfg == fresh[1].cfg
@@ -365,12 +409,12 @@ def test_reuse_at_another_l_gives_the_state_of_a_fresh_build_there(variant):
              for l in L_MIXED]
     assert local_budget(cells[1])[1] == 0
     fresh = [build_placement(c) for c in cells]
-    with PlacementReuse(cells) as reuse:
+    with PlacementReuse(cells):
         got, placed = [], []
         for cell in cells:
             container, space = build_placement(cell)
             got.append(snapshot(container, space))
-            placed.append(reuse.placement_stats(cell))
+            placed.append(run_benchmark(cell).placement_stats)
             # the held space keeps the first cell's cache
             assert space.cfg == fresh[0][1].cfg
             run_queries(container, query_script(cell))
@@ -400,7 +444,7 @@ def test_a_plan_that_is_not_a_product_replays_every_trace_at_the_other_size(
                 update_ratio=0.05)
     b = replace(BASE, variant="plain", l_percent=50.0, alpha=1.3,
                 update_ratio=0.5)
-    fresh = {x: run_benchmark(x) for x in (a, b)}
+    fresh = {x: fresh_report(x) for x in (a, b)}
     replayed = spy_replays(monkeypatch)
     for first, second in ((a, b), (b, a)):
         replayed.clear()
@@ -419,8 +463,8 @@ def test_a_real_query_trace_replays_as_the_reference_lrus_do():
     for cell in grid("dfs"):
         container, space = workload._build(cell)
         trace = array("i")
-        stats = workload._measure(cell, container, space, trace)
-        assert stats == replay_trace(trace, space.cfg.cache_capacity_pages)
+        workload._measure(cell, container, space, trace)
+        assert space.stats() == replay_trace(trace, space.cfg.cache_capacity_pages)
         touches = [(code >> 1, bool(code & 1)) for code in trace]
         # every mix has updates, so the trace has writes to write back
         assert len(touches) > 1000 and any(w for _, w in touches)
