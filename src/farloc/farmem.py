@@ -9,7 +9,10 @@ runtime would do.  :meth:`Space.touch` is the validated entry for any byte
 range of a block; :meth:`Space.touch_block` and :meth:`Space.touch_blocks`
 are the unchecked whole-block entries the containers use.  A trace sink
 receives each swappable touch as one int, ``page * 2 + is_write``; such a
-trace replays at any cache size through :func:`replay_trace`.
+trace replays at any cache size through :func:`replay_trace`.  The cache
+accounting is the hot path of every run, so each loop over touches runs
+the hit, miss, eviction and write-back step inline, and a touch of the
+page the loop touched just before costs one compare.
 
 Handles are plain integer offsets into the address space (0 is the null
 handle); region membership is derivable from the offset alone.  Blocks are
@@ -345,44 +348,58 @@ class Space:
             res.move_to_end(idx)
             if is_write:
                 res[idx] = True
-        else:
-            self._swap_in(idx, is_write)
+            return
+        self._swap_ins += 1
+        cap = self._cache_cap
+        if not cap:
+            # degenerate cache: the page is fetched, used, written straight
+            # back; it can never stay resident
+            if is_write:
+                self._write_backs += 1
+            return
+        if len(res) >= cap and res.popitem(False)[1]:
+            self._write_backs += 1
+        res[idx] = is_write
 
     def touch_blocks(self, handles, is_write: bool) -> None:
-        """:meth:`touch_block` for each live handle of ``handles``, in order."""
+        """:meth:`touch_block` for each live handle of ``handles``, in order.
+
+        A touch of the page this call touched last is traced and needs
+        nothing else: that page is resident and most recently used, and
+        the call's one write flag already set its dirty bit.  A capacity-0
+        miss leaves nothing resident, so it never counts as that page.
+        """
         shift = self._page_shift
         trace = self._trace
         res = self._resident
+        cap = self._cache_cap
+        last = -1
+        ins = wb = 0
         for handle in handles:
             if handle < SWAP_BASE:
                 continue
             idx = (handle - SWAP_BASE) >> shift
             if trace is not None:
                 trace.append(idx * 2 + is_write)
+            if idx == last:
+                continue
             if idx in res:
                 res.move_to_end(idx)
                 if is_write:
                     res[idx] = True
             else:
-                self._swap_in(idx, is_write)
-
-    def _swap_in(self, idx: PageId, is_write: bool) -> None:
-        """Fault non-resident page ``idx`` in, evicting the LRU page (and
-        writing it back when dirty) when the cache is full."""
-        self._swap_ins += 1
-        cap = self._cache_cap
-        if cap == 0:
-            # degenerate cache: the page is fetched, used, written straight
-            # back; it can never stay resident
-            if is_write:
-                self._write_backs += 1
-            return
-        res = self._resident
-        if len(res) >= cap:
-            _, dirty = res.popitem(last=False)
-            if dirty:
-                self._write_backs += 1
-        res[idx] = is_write
+                ins += 1
+                if not cap:
+                    if is_write:
+                        wb += 1
+                    continue
+                if len(res) >= cap and res.popitem(False)[1]:
+                    wb += 1
+                res[idx] = is_write
+            last = idx
+        if ins:
+            self._swap_ins += ins
+            self._write_backs += wb
 
     def evict_all(self) -> None:
         res = self._resident
@@ -448,21 +465,35 @@ def replay_trace(trace, cache_pages: int) -> SwapStats:
     """Replay a page trace from an empty cache of ``cache_pages`` pages.
 
     Each touch of ``trace`` is encoded as ``page * 2 + is_write``, as
-    :meth:`Space.set_trace` hands it to a sink.  Misses go through
-    :meth:`Space._swap_in`, so the strict-LRU, write-back and capacity-0
-    rules are the space's own.  Returns the statistics, which under strict
-    LRU depend on nothing but the trace and the capacity: one trace of a
-    run serves every cache size.
+    :meth:`Space.set_trace` hands it to a sink.  The loop is
+    :meth:`Space.touch_blocks`'s strict-LRU, write-back and capacity-0
+    step on a cache of its own, except that a repeated page may be a write
+    after a read, so a repeat still sets the dirty bit.  Returns the
+    statistics, which under strict LRU depend on nothing but the trace and
+    the capacity: one trace of a run serves every cache size.
     """
-    space = Space(SpaceConfig(cache_capacity_pages=cache_pages))
-    res = space._resident
-    swap_in = space._swap_in
+    SpaceConfig(cache_capacity_pages=cache_pages).validate()
+    res: OrderedDict[int, int] = OrderedDict()    # page -> dirty
+    last = -1
+    ins = wb = 0
     for code in trace:
         page = code >> 1
+        if page == last:
+            if code & 1:
+                res[page] = 1
+            continue
         if page in res:
             res.move_to_end(page)
             if code & 1:
-                res[page] = True
+                res[page] = 1
         else:
-            swap_in(page, bool(code & 1))
-    return space.stats()
+            ins += 1
+            if not cache_pages:
+                if code & 1:
+                    wb += 1
+                continue
+            if len(res) >= cache_pages and res.popitem(False)[1]:
+                wb += 1
+            res[page] = code & 1
+        last = page
+    return SwapStats(ins, wb)

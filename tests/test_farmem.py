@@ -438,3 +438,48 @@ def test_fast_paths_match_touch_and_the_naive_model(cache, page_blocks,
         stats = replay_trace(codes, cap)
         assert (stats.swap_ins, stats.write_backs) == (naive.swap_ins,
                                                        naive.write_backs)
+
+
+# -- repeated pages in one batch and in a replay -------------------------
+
+def test_batch_repeat_of_the_last_page_is_a_hit(space_with_page_blocks):
+    space, (a, b) = space_with_page_blocks(cache_pages=1, n_pages=2)
+    sink = []
+    space.set_trace(sink)
+    space.touch_blocks([a, a, b, a], False)
+    assert space.stats() == SwapStats(swap_ins=3, write_backs=0)
+    assert sink == [0, 0, 2, 0]
+
+
+def test_batch_repeat_misses_again_at_capacity_zero(space_with_page_blocks):
+    space, (a, b) = space_with_page_blocks(cache_pages=0, n_pages=2)
+    sink = []
+    space.set_trace(sink)
+    space.touch_blocks([a, a, b, a], True)
+    assert space.stats() == SwapStats(swap_ins=4, write_backs=4)
+    assert sink == [1, 1, 3, 1]
+
+
+def test_batch_repeat_does_not_carry_across_calls(space_with_page_blocks):
+    space, (a,) = space_with_page_blocks(cache_pages=1, n_pages=1)
+    sink = []
+    space.set_trace(sink)
+    space.touch_blocks([a], False)
+    space.evict_all()
+    space.touch_blocks([a], False)
+    assert space.stats() == SwapStats(swap_ins=2, write_backs=0)
+    assert sink == [0, 0]
+
+
+def test_replay_repeat_keeps_the_write_bit():
+    a_r, a_w, b_r = 0, 1, 2
+    assert replay_trace([a_r, a_w, a_r], 1) == SwapStats(1, 0)
+    assert replay_trace([a_r, a_w, a_r], 0) == SwapStats(3, 1)
+    # the repeat's write dirties a, so evicting a for b writes it back
+    assert replay_trace([a_r, a_w, b_r], 1) == SwapStats(2, 1)
+    assert replay_trace([a_r, a_r, b_r], 1) == SwapStats(2, 0)
+
+
+def test_replay_rejects_a_negative_capacity():
+    with pytest.raises(ConfigError):
+        replay_trace([0, 1], -1)
