@@ -83,9 +83,11 @@ class _PagePool:
 
     A flat max-segment tree over per-page largest extents replaces the
     linear creation-order scan with an O(log n) leftmost-fit descent; every
-    carve or free refreshes one leaf-to-root path.  Frees and hinted carves
-    bypass ``allocate``, so their callers report each owned page they
-    change via ``refresh`` to keep its leaf exact.
+    carve or free refreshes one leaf-to-root path.  The tree is the only
+    cache of a page's largest extent: a page's free list keeps none, and a
+    leaf is re-read from it.  Frees and hinted carves bypass ``allocate``,
+    so their callers report each owned page they change via ``refresh`` to
+    keep its leaf exact.
     """
 
     __slots__ = ("_space", "_pages", "_pos", "_cap", "_tree", "_on_new_page")
@@ -169,7 +171,7 @@ class _PagePool:
 class CollectiveAllocator:
     """Facade over the sub-allocators of one space.  It keeps no byte counts
     of its own: occupancy is read from the space's per-page and purely-local
-    ledgers."""
+    free lists."""
 
     def __init__(self, space: Space):
         self._space = space
@@ -229,7 +231,7 @@ class CollectiveAllocator:
     # -- occupancy -------------------------------------------------------
 
     def allocated_bytes(self, ref: SubAllocatorRef) -> int:
-        """Bytes live in ``ref``; only the tests read it, their window on the ledgers."""
+        """Bytes live in ``ref``; only the tests read it, their window on the free lists."""
         page = self._known(ref)
         space = self._space
         if page is not None:

@@ -81,26 +81,17 @@ class SwapStats:
 class FreeList:
     """First-fit free list over one contiguous range, coalescing on free.
 
-    The largest extent size is cached so that a hopeless allocation fails in
-    O(1); carving from the largest extent marks the cache stale and the next
-    query recomputes it.
+    The address-ordered extents are the only record of the range's free
+    space: its largest extent and its free bytes are read from them.
     """
 
-    __slots__ = ("_starts", "_sizes", "_max", "_stale")
+    __slots__ = ("_starts", "_sizes")
 
     def __init__(self, start: int, size: int):
         self._starts: list[int] = [start] if size else []
         self._sizes: list[int] = [size] if size else []
-        self._max = size
-        self._stale = False
 
     def allocate(self, size: int) -> int | None:
-        if self._stale:
-            self._max = max(self._sizes, default=0)
-            self._stale = False
-        if size > self._max:
-            return None
-        # the largest extent is exact here, so the scan finds a fit
         starts, sizes = self._starts, self._sizes
         for i, avail in enumerate(sizes):
             if size <= avail:
@@ -111,9 +102,8 @@ class FreeList:
                 else:
                     del starts[i]
                     del sizes[i]
-                if avail == self._max:
-                    self._stale = True
                 return start
+        return None
 
     def free(self, start: int, size: int) -> None:
         starts, sizes = self._starts, self._sizes
@@ -125,23 +115,18 @@ class FreeList:
                 sizes[i - 1] += sizes[i]
                 del starts[i]
                 del sizes[i]
-            merged = sizes[i - 1]
         elif i < len(starts) and starts[i] == start + size:
             starts[i] = start
             sizes[i] += size
-            merged = sizes[i]
         else:
             starts.insert(i, start)
             sizes.insert(i, size)
-            merged = size
-        if not self._stale and merged > self._max:
-            self._max = merged
 
     def max_free(self) -> int:
-        if self._stale:
-            self._max = max(self._sizes, default=0)
-            self._stale = False
-        return self._max
+        return max(self._sizes, default=0)
+
+    def free_bytes(self) -> int:
+        return sum(self._sizes)
 
 
 class _ArrayFreeList:
@@ -160,7 +145,7 @@ class _ArrayFreeList:
     builds 18-87 % slower.
     """
 
-    __slots__ = ("_starts", "_sizes", "_n", "_max", "_stale")
+    __slots__ = ("_starts", "_sizes", "_n")
 
     def __init__(self, start: int, size: int):
         self._starts = np.empty(16, dtype=np.int64)
@@ -170,8 +155,6 @@ class _ArrayFreeList:
             self._starts[0] = start
             self._sizes[0] = size
             self._n = 1
-        self._max = size
-        self._stale = False
 
     def _shift_in(self, i: int, start: int, size: int) -> None:
         n = self._n
@@ -196,22 +179,20 @@ class _ArrayFreeList:
 
     def allocate(self, size: int) -> int | None:
         n = self._n
-        if self._stale:
-            self._max = int(self._sizes[:n].max()) if n else 0
-            self._stale = False
-        if size > self._max:
+        if not n:
             return None
-        # the largest extent is exact here, so some extent fits
-        i = int(np.argmax(self._sizes[:n] >= size))
-        start = int(self._starts[i])
+        # the method, not np.argmax: it skips a Python-level dispatch, and
+        # the local variants run this for many carves that cannot fit
+        i = int((self._sizes[:n] >= size).argmax())
         avail = int(self._sizes[i])
+        if avail < size:
+            return None     # argmax of an all-False mask is 0
+        start = int(self._starts[i])
         if size < avail:
             self._starts[i] = start + size
             self._sizes[i] = avail - size
         else:
             self._shift_out(i)
-        if avail == self._max:
-            self._stale = True
         return start
 
     def free(self, start: int, size: int) -> None:
@@ -224,24 +205,14 @@ class _ArrayFreeList:
             if i < n and int(starts[i]) == start + size:
                 sizes[i - 1] += sizes[i]
                 self._shift_out(i)
-            merged = int(sizes[i - 1])
         elif i < n and int(starts[i]) == start + size:
             starts[i] = start
             sizes[i] += size
-            merged = int(sizes[i])
         else:
             self._shift_in(i, start, size)
-            merged = size
-        if not self._stale and merged > self._max:
-            self._max = merged
 
-
-class _Page:
-    __slots__ = ("free", "allocated")
-
-    def __init__(self, base: int, size: int):
-        self.free = FreeList(base, size)
-        self.allocated = 0
+    def free_bytes(self) -> int:
+        return int(self._sizes[:self._n].sum())
 
 
 class Space:
@@ -255,8 +226,7 @@ class Space:
         self._cache_cap = cfg.cache_capacity_pages
         self._blocks: dict[int, int] = {}            # handle -> block size
         self._local_free = _ArrayFreeList(LOCAL_BASE, cfg.purely_local_capacity_bytes)
-        self._local_allocated = 0
-        self._pages: list[_Page] = []
+        self._pages: list[FreeList] = []
         self._resident: OrderedDict[int, bool] = OrderedDict()   # page -> dirty
         self._swap_ins = 0
         self._write_backs = 0
@@ -270,27 +240,23 @@ class Space:
         if h is None:
             raise CapacityExhausted(f"purely-local region cannot fit {size} bytes")
         self._blocks[h] = size
-        self._local_allocated += size
         return h
 
     def create_page(self) -> PageId:
         idx = len(self._pages)
-        self._pages.append(_Page(SWAP_BASE + idx * self._page_size, self._page_size))
+        self._pages.append(FreeList(SWAP_BASE + idx * self._page_size, self._page_size))
         return idx
 
     def carve_in_page(self, page: PageId, size: int) -> Handle:
         self._check_carve(size)
         if size > self._page_size:
             raise UsageError(f"block of {size} bytes cannot fit one page")
-        try:
-            rec = self._pages[page]
-        except IndexError:
-            raise UsageError(f"no such page: {page}") from None
-        h = rec.free.allocate(size)
+        if not 0 <= page < len(self._pages):
+            raise UsageError(f"no such page: {page}")
+        h = self._pages[page].allocate(size)
         if h is None:
             raise CapacityExhausted(f"page {page} cannot fit {size} bytes")
         self._blocks[h] = size
-        rec.allocated += size
         return h
 
     @staticmethod
@@ -305,11 +271,8 @@ class Space:
             raise UsageError(f"free of unknown or already-freed handle {handle:#x}")
         if handle < SWAP_BASE:
             self._local_free.free(handle, size)
-            self._local_allocated -= size
         else:
-            rec = self._pages[(handle - SWAP_BASE) >> self._page_shift]
-            rec.free.free(handle, size)
-            rec.allocated -= size
+            self._pages[(handle - SWAP_BASE) >> self._page_shift].free(handle, size)
         return size
 
     # -- access and residency -------------------------------------------
@@ -452,13 +415,13 @@ class Space:
 
     @property
     def purely_local_allocated_bytes(self) -> int:
-        return self._local_allocated
+        return self.cfg.purely_local_capacity_bytes - self._local_free.free_bytes()
 
     def page_allocated_bytes(self, page: PageId) -> int:
-        return self._pages[page].allocated
+        return self._page_size - self._pages[page].free_bytes()
 
     def page_max_free(self, page: PageId) -> int:
-        return self._pages[page].free.max_free()
+        return self._pages[page].max_free()
 
 
 def replay_trace(trace, cache_pages: int) -> SwapStats:

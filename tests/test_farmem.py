@@ -91,6 +91,8 @@ def test_carve_errors(make_space):
         space.carve_in_page(page, 4097)
     with pytest.raises(UsageError):
         space.carve_in_page(99, 16)
+    with pytest.raises(UsageError):
+        space.carve_in_page(-1, 16)
     with pytest.raises(CapacityExhausted):
         space.carve_purely_local(129)
     space.carve_in_page(page, 4096)
@@ -162,6 +164,7 @@ def test_free_list_variants_agree_with_byte_map(ops):
             if want is not None:
                 live.append((want, size))
         assert lists[0].max_free() == oracle.max_free()
+        assert [fl.free_bytes() for fl in lists] == [oracle.used.count(0)] * 2
 
 
 # -- LRU accounting ------------------------------------------------------
