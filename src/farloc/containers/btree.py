@@ -134,48 +134,46 @@ class BTree(PlacedContainer):
 
     def scan(self, key: int, length: int) -> list[tuple[int, bytes]]:
         """Up to ``length`` pairs in ascending key order, starting at ``key``
-        or, when absent, at its successor."""
+        or, when absent, at its successor.  After each pair the loop steps
+        to the in-order successor: down the leftmost path right of an
+        internal entry, along a leaf, or up the parent links from a leaf's
+        end; every node a step visits joins the touched path, the step
+        after the last pair included."""
         if length < 1:
             raise UsageError(f"scan length must be >= 1, got {length}")
         nodes = self._nodes
         # the walk only reads, so its touches are accounted in one batch
         seen, at, _ = self._descend(key)
         out: list[tuple[int, bytes]] = []
-        while at and len(out) < length:
+        if at:
             h, idx = at
             node = nodes[h]
-            out.append((node.keys[idx], node.vals[idx]))
-            at = self._next_entry(h, idx, seen)
+            for _ in range(length):
+                out.append((node.keys[idx], node.vals[idx]))
+                if not node.leaf:
+                    h = node.children[idx + 1]
+                    seen.append(h)
+                    node = nodes[h]
+                    while not node.leaf:
+                        h = node.children[0]
+                        seen.append(h)
+                        node = nodes[h]
+                    idx = 0
+                elif idx + 1 < len(node.keys):
+                    idx += 1
+                else:
+                    child, h = h, node.parent
+                    while h:
+                        seen.append(h)
+                        node = nodes[h]
+                        idx = node.children.index(child)
+                        if idx < len(node.keys):
+                            break
+                        child, h = h, node.parent
+                    else:
+                        break   # no successor
         self._space.touch_blocks(seen, False)
         return out
-
-    def _next_entry(self, h: Handle, idx: int, seen: list[Handle]):
-        """The in-order successor of entry ``idx`` of node ``h``; appends
-        every node it visits to ``seen``."""
-        nodes = self._nodes
-        node = nodes[h]
-        if not node.leaf:
-            nh = node.children[idx + 1]
-            seen.append(nh)
-            n = nodes[nh]
-            while not n.leaf:
-                nh = n.children[0]
-                seen.append(nh)
-                n = nodes[nh]
-            return (nh, 0)
-        if idx + 1 < len(node.keys):
-            return (h, idx + 1)
-        child = h
-        p = node.parent
-        while p:
-            pn = nodes[p]
-            seen.append(p)
-            pos = pn.children.index(child)
-            if pos < len(pn.keys):
-                return (p, pos)
-            child = p
-            p = pn.parent
-        return None
 
     # -- insertion -------------------------------------------------------
 

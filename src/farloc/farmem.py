@@ -418,9 +418,13 @@ class Space:
         return self.cfg.purely_local_capacity_bytes - self._local_free.free_bytes()
 
     def page_allocated_bytes(self, page: PageId) -> int:
+        if not 0 <= page < len(self._pages):
+            raise UsageError(f"no such page: {page}")
         return self._page_size - self._pages[page].free_bytes()
 
     def page_max_free(self, page: PageId) -> int:
+        if not 0 <= page < len(self._pages):
+            raise UsageError(f"no such page: {page}")
         return self._pages[page].max_free()
 
 

@@ -173,6 +173,60 @@ def btree_height(tree) -> int:
     return max(tree_depths(tree).values()) + 1
 
 
+def btree_scan_path(tree, key: int, length: int):
+    """The pairs ``tree.scan(key, length)`` returns and the nodes it touches,
+    in order, from the tree's nodes alone.  The path runs from the root
+    towards ``key``; after each pair it follows the walk to that pair's
+    in-order successor (the leftmost path right of an internal entry, or
+    the parent links up from a leaf's last entry), the walk after the last
+    pair included, read or not.  A node is a leaf when it has no children,
+    a key's position in a node is the count of the node's keys below it,
+    and a child's slot in its parent that of the parent's keys below the
+    child's first key."""
+    nodes = tree._nodes
+    path = []
+    at = None
+    h = tree._root
+    while h:
+        node = nodes[h]
+        path.append(h)
+        i = sum(k < key for k in node.keys)
+        if i < len(node.keys):
+            at = (h, i)
+            if node.keys[i] == key:
+                break
+        if not node.children:
+            break
+        h = node.children[i]
+
+    def successor(h, i):
+        node = nodes[h]
+        if node.children:
+            h = node.children[i + 1]
+            path.append(h)
+            while nodes[h].children:
+                h = nodes[h].children[0]
+                path.append(h)
+            return (h, 0)
+        if i + 1 < len(node.keys):
+            return (h, i + 1)
+        while nodes[h].parent:
+            first = nodes[h].keys[0]
+            h = nodes[h].parent
+            path.append(h)
+            slot = sum(k < first for k in nodes[h].keys)
+            if slot < len(nodes[h].keys):
+                return (h, slot)
+        return None
+
+    pairs = []
+    while at is not None and len(pairs) < length:
+        h, i = at
+        pairs.append((nodes[h].keys[i], nodes[h].vals[i]))
+        at = successor(h, i)
+    return pairs, path
+
+
 def owned_pages(alloc, ref) -> list[int]:
     """Pages a collective allocator's sub-allocator ``ref`` owns, from its
     page ownership map."""

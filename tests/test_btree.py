@@ -4,6 +4,7 @@ NODE = 712 is the block size of an order-5 tree with 152-byte value slots;
 several placement scenarios size the purely-local region in node multiples.
 """
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -11,8 +12,8 @@ from farloc.collective import (CollectiveAllocator, HintAllocator, Kind,
                                ObjectLayout)
 from farloc.containers import OCCUPANCY_LIMIT, BTree, BTreeVariant, btree_block_bytes
 from farloc.farmem import ConfigError, Space, SpaceConfig, UsageError
-from reference_models import (btree_height, btree_root, grouped, owned_pages,
-                              tree_depths)
+from reference_models import (btree_height, btree_root, btree_scan_path, grouped,
+                              owned_pages, tree_depths)
 
 NODE = 712
 
@@ -180,6 +181,47 @@ def test_scan_tracks_the_sorted_map_over_long_ranges():
         k = rng.randrange(100_000)
         want = sorted(x for x in ref if x >= k)[:100]
         assert tree.scan(k, 100) == [(x, ref[x]) for x in want]
+
+
+def scan_touches(tree, key, length):
+    """``tree.scan(key, length)`` and the handle lists it passed to
+    ``touch_blocks``, with their write flags."""
+    space = tree.space
+    calls = []
+    space.touch_blocks = lambda handles, is_write: calls.append((list(handles), is_write))
+    try:
+        return tree.scan(key, length), calls
+    finally:
+        del space.touch_blocks
+
+
+@pytest.mark.parametrize("variant", list(BTreeVariant))
+@pytest.mark.parametrize("seed", [3, 4])
+def test_scan_output_and_path_match_the_reference_walk(variant, seed):
+    """Every stored key, the gaps between stored keys and both ends, at
+    length 1, a mid length and past the last key, after the inserts and
+    after the rearrangement: the pairs and the one batch of touched handles
+    equal the oracle's, and the pairs the sorted map's."""
+    local = 8192 if variant in LOCAL_VARIANTS else 0
+    tree, ref = build_random(variant, n=300, local_capacity=local, seed=seed)
+    keys = sorted(ref)
+    # the stored keys include keys held in internal nodes
+    assert any(not node.leaf for node in tree._nodes.values())
+    probes = keys + [k + 1 for k in keys if k + 1 not in ref] + [keys[0] - 1, keys[-1] + 1]
+
+    def check():
+        for key in probes:
+            first = bisect_left(keys, key)
+            for length in (1, 7, len(keys) + 1):
+                pairs, path = btree_scan_path(tree, key, length)
+                assert pairs == [(k, ref[k]) for k in keys[first:first + length]]
+                assert scan_touches(tree, key, length) == (pairs, [(path, False)]), \
+                    (key, length)
+
+    check()
+    if tree.has_rearrangement:
+        tree.make_page_aware()
+        check()
 
 
 # -- plain placement -----------------------------------------------------

@@ -100,6 +100,19 @@ def test_carve_errors(make_space):
         space.carve_in_page(page, 8)
 
 
+@pytest.mark.parametrize("bad", [-1, 1])
+def test_page_accessors_reject_a_bad_page(make_space, bad):
+    # on a 1-page space, page -1 is not the last page counted from the end,
+    # and page 1 is not a raw IndexError
+    space = make_space()
+    space.create_page()
+    assert space.num_pages == 1
+    with pytest.raises(UsageError, match="no such page"):
+        space.page_allocated_bytes(bad)
+    with pytest.raises(UsageError, match="no such page"):
+        space.page_max_free(bad)
+
+
 def test_free_errors(make_space):
     space = make_space(local_capacity=128)
     h = space.carve_purely_local(16)
