@@ -182,7 +182,7 @@ class BTree(PlacedContainer):
         is already present."""
         self._check_value(value)
         if not self._root:
-            h = self._place_root(())
+            h = self._place(0, 0, 0, self._layout, ())
             self._nodes[h] = _Node([key], [value], [], 0, True)
             self._splice_after(0, h)
             self._root = h
@@ -192,7 +192,7 @@ class BTree(PlacedContainer):
         baby, sep_k, sep_v, inserted = self._ins_rec(self._root, key, value)
         if baby:
             held = [self._root, baby]
-            new_h = self._place_root(held)
+            new_h = self._place(self._root, 0, 0, self._layout, held)
             old_root, baby = held
             self._nodes[new_h] = _Node([sep_k], [sep_v], [old_root, baby], 0, False)
             self._space.touch_block(new_h, True)
@@ -263,24 +263,13 @@ class BTree(PlacedContainer):
 
     # -- node placement --------------------------------------------------
 
-    def _place_root(self, held) -> Handle:
-        """Block for a new root; ``held`` holds the old root and its new
-        sibling, or nothing for the first root."""
-        if self._halloc is not None:
-            return self._halloc.allocate(1, self._layout, None)
-        if held:
-            return self._place_near(held[0], 0, self._layout, held)
-        return self._place_first(self._layout, held)
-
     def _place_sibling(self, split_h: Handle, held) -> Handle:
         """Block for the new sibling created by splitting ``split_h``."""
         parent = self._nodes[split_h].parent
-        if self._halloc is not None:
-            return self._halloc.allocate(1, self._layout, parent or None)
         anchor = split_h
         if self._variant in _PARENT_ANCHOR_VARIANTS:
             anchor = parent or split_h
-        return self._place_near(anchor, split_h, self._layout, held)
+        return self._place(anchor, split_h, parent, self._layout, held)
 
     # -- relocation ------------------------------------------------------
 

@@ -8,13 +8,16 @@ here, once:
 * the priority list, which orders nodes by how many queries pass through
   them, and the purely-local prefix at its front, whose last node is
   ``_least_priority``;
-* making room in a full purely-local region by moving nodes from the back
-  of that prefix to swappable memory;
+* ``_place``, the block of a new node: near the hint under the hint
+  allocator, else on the page of a swappable probe node, else in the
+  purely-local region, making room there by moving nodes from the back of
+  the prefix to swappable memory, else plain swappable;
 * the priority-list half of relocating a node;
 * the destinations of a batch rearrangement.
 
 A container keeps its node layout, its descent, scan and traversal loops,
-and the sub-allocator it probes first.  For relocation it supplies
+and picks the arguments of ``_place``: the node to probe, the node the new
+one will follow on the priority list, and the hint.  For relocation it supplies
 ``_repoint(h, new_h, node, referrers)``, which rewrites its structural
 pointers to the moved node, and, when those cannot be found from the node
 itself, ``_referrers(h)``.  Every node object carries ``prev``/``next``
@@ -95,48 +98,42 @@ class PlacedContainer:
     def _alloc_plain(self, layout) -> Handle:
         return self._alloc.sub_allocate(self._alloc.swappable_plain, 1, layout)
 
-    def _place_near(self, probe: Handle, stop: Handle, layout, held) -> Handle:
-        """A block in the sub-allocator that owns ``probe``; when that one is
-        full, a block from ``_make_room``."""
-        alloc = self._alloc
-        try:
-            return alloc.sub_allocate(alloc.get_suballocator_by_handle(probe), 1, layout)
-        except CapacityExhausted:
-            pass
-        return self._make_room(stop, layout, held)
+    def _place(self, probe: Handle, stop: Handle, hint: Handle, layout, held) -> Handle:
+        """A block for a new node that will follow ``stop`` on the priority
+        list (0: the head).
 
-    def _place_first(self, layout, held) -> Handle:
-        """A block for a node that will head the priority list: purely-local
-        when the variant has the region and room can be made there."""
-        if self._uses_local:
+        The hint variant takes the hint allocator's block near ``hint``.
+        Otherwise a swappable ``probe`` tries the sub-allocator that owns it.
+        Then, when the variant has the purely-local region and ``stop`` is
+        the head or purely local, a purely-local carve is tried, and each
+        failure moves the least-priority node to swappable memory, until the
+        carve fits or ``stop`` is the prefix's last node: ``stop`` and every
+        node ahead of it stay put.  Entries of ``held`` that name a moved
+        node are updated to its new handle.  Failing all of that, the block
+        is plain swappable.
+        """
+        if self._halloc is not None:
+            return self._halloc.allocate(1, layout, hint or None)
+        alloc = self._alloc
+        space = self._space
+        if probe and not space.is_purely_local(probe):
             try:
-                return self._alloc.sub_allocate(self._alloc.purely_local, 1, layout)
+                return alloc.sub_allocate(alloc.get_suballocator_by_handle(probe), 1, layout)
             except CapacityExhausted:
                 pass
-        return self._make_room(0, layout, held)
-
-    def _make_room(self, stop: Handle, layout, held) -> Handle:
-        """A purely-local block for a node that will follow ``stop`` on the
-        priority list (0: the head), made by moving nodes from the back of
-        the purely-local prefix to swappable memory until the block fits.
-
-        ``stop`` and every node ahead of it stay put, so only a purely-local
-        ``stop`` or the head qualifies.  Otherwise, and once the prefix is
-        used up, the block is plain swappable.  Entries of ``held`` that
-        name a moved node are updated to its new handle.
-        """
-        alloc = self._alloc
-        if self._uses_local and (not stop or self._space.is_purely_local(stop)):
-            while self._least_priority != stop:
-                lp = self._least_priority
-                new_lp = self._relocate(lp, self._alloc_plain, self._referrers(lp))
-                for i, x in enumerate(held):
-                    if x == lp:
-                        held[i] = new_lp
+        if self._uses_local and (not stop or space.is_purely_local(stop)):
+            while True:
                 try:
                     return alloc.sub_allocate(alloc.purely_local, 1, layout)
                 except CapacityExhausted:
                     pass
+                lp = self._least_priority
+                if lp == stop:
+                    break
+                new_lp = self._relocate(lp, self._alloc_plain, self._referrers(lp))
+                for i, x in enumerate(held):
+                    if x == lp:
+                        held[i] = new_lp
         return self._alloc_plain(layout)
 
     # -- priority list ---------------------------------------------------

@@ -21,9 +21,10 @@ faults and never appears in link statistics.
 
 Node blocks are sized by level (one size class per level), which keeps page
 occupancy arithmetic exact.  Unlike the B-tree's uniform blocks, one evicted
-block may be too small for the incoming one, so the shared eviction step
-(``placement.py``) loops until the purely-local region fits the new block or
-the prefix is exhausted.
+block may be too small for the incoming one, so ``PlacedContainer._place``
+(``placement.py``) moves nodes out of the purely-local region until it fits
+the new block or only the new node's priority-list predecessor and the
+nodes ahead of it are left there.
 """
 from __future__ import annotations
 
@@ -173,7 +174,10 @@ class SkipList(PlacedContainer):
         if cand and self._nodes[cand].key == key:
             return False
         level = self._draw_level()
-        h = self._place(self._layouts[self.block_bytes(level)], level, update)
+        # the new node follows ``tail`` on the priority list; making room
+        # stops at ``tail``, so it never moves
+        tail = self._tails[level]
+        h = self._place(tail, tail, update[0], self._layouts[self.block_bytes(level)], update)
         node = _SkipNode(key, value, level)
         self._nodes[h] = node
         touch = self._space.touch_block
@@ -188,28 +192,14 @@ class SkipList(PlacedContainer):
                 node.forwards[i] = self._head[i]
                 self._head[i] = h
         touch(h, True)
-        anchor = self._tails[level]
-        self._splice_after(anchor, h)
+        self._splice_after(tail, h)
         for lvl in range(1, level + 1):
-            if self._tails[lvl] == anchor:
+            if self._tails[lvl] == tail:
                 self._tails[lvl] = h
         if level > self._levels:
             self._levels = level
         self._size += 1
         return True
-
-    # -- node placement --------------------------------------------------
-
-    def _place(self, layout, level: int, update: list[Handle]) -> Handle:
-        """Block for a new node of ``level`` whose per-level predecessors are
-        ``update``; it will follow ``_tails[level]`` on the priority list."""
-        if self._halloc is not None:
-            return self._halloc.allocate(1, layout, update[0] or None)
-        anchor = self._tails[level]
-        if anchor:
-            return self._place_near(anchor, anchor, layout, update)
-        # the new node outranks every existing one
-        return self._place_first(layout, update)
 
     # -- relocation ------------------------------------------------------
 

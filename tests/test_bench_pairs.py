@@ -1,6 +1,9 @@
-"""tools/bench_pairs.py: argument errors and the name of the file it writes.
-A real pair of runs is slow; CI runs one tiny pair."""
+"""tools/bench_pairs.py: argument errors, runs that go wrong and the name of
+the file it writes.  A real pair of runs is slow; CI runs one tiny pair.
+The runs that go wrong come from fake checkouts, whose ``perfbench/run.py``
+prints and writes only what a case asks for."""
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +49,56 @@ def test_the_file_number_follows_the_largest_one_there(tmp_path):
     for name in ("BENCH_9_0000000.json", "BENCH_17_b158ba6.json", "BENCH_x_y.json"):
         (tmp_path / name).write_text("{}")
     assert tool.bench_path(tmp_path, "abc1234").name == "BENCH_18_abc1234.json"
+
+
+FAKE_RUN = """\
+import argparse, pathlib
+p = argparse.ArgumentParser()
+for name in ("--workload", "--seed", "--seconds", "--trace", "--out"):
+    p.add_argument(name)
+a, _ = p.parse_known_args()
+tag = pathlib.Path(a.out) / f"{a.workload}-seed{a.seed}-trace{a.trace}"
+for suffix in WRITES:
+    tag.with_name(tag.name + suffix).write_text("{}")
+print(LINE, end="")
+"""
+
+
+def fake_checkout(root: Path, line: str, writes: tuple[str, ...]) -> Path:
+    """A git checkout with this repo's BENCHMARK.json whose perfbench run
+    prints ``line`` and writes the records named by ``writes``."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "src" / "farloc").mkdir(parents=True)
+    (root / "src" / "farloc" / "cli.py").write_text("")
+    shutil.copy(ROOT / "BENCHMARK.json", root / "BENCHMARK.json")
+    (root / "perfbench" / "run.py").write_text(
+        f"WRITES = {writes!r}\nLINE = {line!r}\n" + FAKE_RUN)
+    git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t",
+           "-c", "commit.gpgsign=false"]
+    for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "fake"]):
+        subprocess.run(git + cmd, check=True, capture_output=True)
+    return root
+
+
+GOOD_LINE = '{"correct": true, "failed": 0}\n'
+
+
+@pytest.mark.parametrize("line, writes", [
+    ("", (".json", ".child.json")),
+    ("not json\n", (".json", ".child.json")),
+    ("[1, 2]\n", (".json", ".child.json")),
+    (GOOD_LINE, (".child.json",)),
+    (GOOD_LINE, (".json",)),
+], ids=["silent", "not-json", "not-object", "no-record", "no-child-record"])
+def test_a_run_that_goes_wrong_ends_in_error(tmp_path, line, writes):
+    checkout = fake_checkout(tmp_path / "checkout", line, writes)
+    out = tmp_path / "out"
+    out.mkdir()
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(checkout), str(checkout), "--workload", "btree-grid",
+         "--pairs", "1", "--seconds", "1", "--out-dir", str(out)],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+    assert not list(out.iterdir())

@@ -5,7 +5,12 @@ inserts, so nearly every insert after that runs the prefix-eviction loop,
 and rearrangements mid-sequence move nodes onto per-page sub-allocators
 that later inserts probe first.  After every step the contents must match
 a plain dict and every structural and placement invariant must hold.
+
+The purely-local carves of whole builds are counted too: a carve that
+cannot fit fails with ``CapacityExhausted``, and ``_place`` tries one only
+where the new node may join the purely-local prefix.
 """
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
@@ -14,7 +19,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
 from farloc.collective import CollectiveAllocator
 from farloc.containers import (BTree, BTreeVariant, SkipList, SkipListVariant,
                                btree_block_bytes, tower_block_bytes)
-from farloc.farmem import Space, SpaceConfig
+from farloc.farmem import CapacityExhausted, Space, SpaceConfig
+from farloc.workload import BenchConfig, _build
 
 VALUE_SLOT = 8
 VARIANTS = [BTreeVariant.LOCAL, BTreeVariant.LOCAL_DFS, BTreeVariant.LOCAL_VEB,
@@ -77,3 +83,31 @@ TinyLocalBudget.TestCase.settings = settings(
     max_examples=150, stateful_step_count=40, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 test_tiny_local_budget = TinyLocalBudget.TestCase
+
+
+# (calls, failures) of Space.carve_purely_local in one build at 256 KiB,
+# L=50, seed 0.  The parent-anchored variants make exactly the carves
+# ``local`` makes: a sibling of a swappable node cannot join the
+# purely-local prefix, so a purely-local parent gets it no carve there.
+@pytest.mark.parametrize("variant, calls, failures", [
+    ("local", 423, 167),
+    ("local+dfs", 423, 167),
+    ("local+veb", 423, 167),
+    ("skip-local", 936, 356),
+    ("skip-local+page", 936, 356),
+])
+def test_purely_local_carves_of_a_build(monkeypatch, variant, calls, failures):
+    seen = [0, 0]
+    carve = Space.carve_purely_local
+
+    def counting_carve(self, size):
+        seen[0] += 1
+        try:
+            return carve(self, size)
+        except CapacityExhausted:
+            seen[1] += 1
+            raise
+
+    monkeypatch.setattr(Space, "carve_purely_local", counting_carve)
+    _build(BenchConfig(variant=variant, total_data_bytes=256 * 1024, l_percent=50, seed=0))
+    assert seen == [calls, failures]

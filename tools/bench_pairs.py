@@ -23,7 +23,8 @@ sides alike.  It writes ``BENCH_<n>_<parent sha>.json`` into ``--out-dir``
   the same seed.
 
 ``--tiny`` is passed through to perfbench.  Bad arguments end in ``error:``
-and exit 1 before any run; so does a run that fails.
+and exit 1 before any run; so does a run that fails, prints nothing, ends
+in a line that is not a JSON object or leaves a record missing.
 """
 from __future__ import annotations
 
@@ -118,18 +119,34 @@ def bench_path(out_dir: Path, parent_sha: str) -> Path:
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, tiny: bool) -> dict:
     """One ``perfbench/run.py --trace 0`` run: its result line, its run
     record and its child's record of the sweeps."""
+    where = f"{workload} seed {seed} in {str(checkout)!r}"
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as out:
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", format(seconds, "g"), "--trace", "0",
                "--out", out] + (["--tiny"] if tiny else [])
         done = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
         if done.returncode != 0:
-            raise PairError(f"{workload} seed {seed} in {str(checkout)!r} exited with "
-                            f"{done.returncode}")
+            raise PairError(f"{where} exited with {done.returncode}")
+        lines = done.stdout.strip().splitlines()
+        if not lines:
+            raise PairError(f"{where} printed nothing")
+        run = {"result": parse_json(lines[-1], f"the last line of {where}")}
+        if not isinstance(run["result"], dict):
+            raise PairError(f"the last line of {where} is not a JSON object")
         tag = f"{workload}-seed{seed}-trace0"
-        return {"result": json.loads(done.stdout.strip().splitlines()[-1]),
-                "record": json.loads((Path(out) / f"{tag}.json").read_text()),
-                "child": json.loads((Path(out) / f"{tag}.child.json").read_text())}
+        for key, suffix in (("record", ".json"), ("child", ".child.json")):
+            path = Path(out) / f"{tag}{suffix}"
+            if not path.is_file():
+                raise PairError(f"{where} wrote no {path.name}")
+            run[key] = parse_json(path.read_text(), f"{path.name} of {where}")
+        return run
+
+
+def parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise PairError(f"{what} is not JSON: {text[:80]!r}") from None
 
 
 def quartiles(xs: list[float]) -> dict:
