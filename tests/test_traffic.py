@@ -1,4 +1,5 @@
-"""Pinned page traffic of every variant on one small config.
+"""Pinned page traffic of every variant on one small config, and of the
+local B-tree variants at a second L.
 
 Every swap statistic, CSV row and acceptance verdict follows from the
 sequence of ``(page, is_write)`` page touches a container makes.  These
@@ -36,6 +37,16 @@ EXPECTED = {
     "skip-local": (13202, "43025cb927a0e3193c8a9e8243651f70d767a175a160b8a2b115f064ed2d2678"),
     "skip-page": (22915, "a0c9e60685ef2881568e350af837347a460a4bcae9b1f8c299d8762003b3623b"),
     "skip-local+page": (15697, "39ea76bfa1cd1fd2e656385bcfd1a6c75d95fb4f50cc4aa8cfc483a942d7c9a1"),
+}
+
+
+# the local B-tree variants at L=50 -> (page touches, SHA-256) of build and
+# replay; each build relocates, once, a split sibling that its parent does
+# not hold yet, which the L=25 builds above never do
+EXPECTED_L50 = {
+    "local": (6529, "07693325ba34b085d9e096154a2ab10c6b4b274b8c508079c847d5e8ec46bbee"),
+    "local+dfs": (7405, "92d8f5b1b5702e8d4665133840addf8fabaa9d3dd1861fbe6879ee0692934acf"),
+    "local+veb": (7430, "9809e08fcc8cba229e13b443c94b63161dd7fc6a0fd93a53d58a8324b8983d4b"),
 }
 
 
@@ -83,7 +94,7 @@ class _DigestSink:
         self.sha.update(struct.pack("<qB", code >> 1, code & 1))
 
 
-def traffic(variant: str, monkeypatch) -> tuple[int, str]:
+def traffic(variant: str, monkeypatch, l_percent=CONFIG["l_percent"]) -> tuple[int, str]:
     sink = _DigestSink()
 
     class TracedSpace(Space):
@@ -92,13 +103,18 @@ def traffic(variant: str, monkeypatch) -> tuple[int, str]:
             self.set_trace(sink)
 
     monkeypatch.setattr(workload, "Space", TracedSpace)
-    run_benchmark(BenchConfig(variant=variant, **CONFIG))
+    run_benchmark(BenchConfig(variant=variant, **{**CONFIG, "l_percent": l_percent}))
     return sink.n, sink.sha.hexdigest()
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_page_traffic_is_pinned(variant, monkeypatch):
     assert traffic(variant, monkeypatch) == EXPECTED[variant]
+
+
+@pytest.mark.parametrize("variant", list(EXPECTED_L50))
+def test_unwired_sibling_relocation_traffic_is_pinned(variant, monkeypatch):
+    assert traffic(variant, monkeypatch, l_percent=50.0) == EXPECTED_L50[variant]
 
 
 def search_traffic(variant: str) -> tuple[int, str]:
