@@ -57,15 +57,16 @@ def btree_block_bytes(value_slot: int) -> int:
 
 
 class _Node:
-    __slots__ = ("keys", "vals", "children", "parent", "prev", "next", "leaf")
+    __slots__ = ("h", "keys", "vals", "children", "parent", "prev", "next", "leaf")
 
-    def __init__(self, keys, vals, children, parent, leaf):
+    def __init__(self, h, keys, vals, children, parent, leaf):
+        self.h = h
         self.keys = keys
         self.vals = vals
         self.children = children
         self.parent = parent
-        self.prev = 0
-        self.next = 0
+        self.prev = None
+        self.next = None
         self.leaf = leaf
 
 
@@ -89,37 +90,36 @@ class BTree(PlacedContainer):
         block = btree_block_bytes(value_slot)
         self._layout = ObjectLayout(block)
         self._layouts[block] = self._layout
-        self._root: Handle = 0
+        self._root = None
         self._height = 0
 
     # -- queries ---------------------------------------------------------
 
     def _descend(self, key: int):
-        """The root-to-leaf path towards ``key``, touching nothing; the entry
-        ``(handle, index)`` that holds ``key``, or else its successor on that
-        path (None when it has none); and whether ``key`` was found."""
-        nodes = self._nodes
+        """The handles of the root-to-leaf path towards ``key``, touching
+        nothing; the entry ``(node, index)`` that holds ``key``, or else its
+        successor on that path (None when it has none); and whether ``key``
+        was found."""
         path = []
         at = None
-        h = self._root
-        while h:
-            node = nodes[h]
-            path.append(h)
+        node = self._root
+        while node:
+            path.append(node.h)
             keys = node.keys
             i = bisect_right(keys, key)
             if i and keys[i - 1] == key:
-                return path, (h, i - 1), True
+                return path, (node, i - 1), True
             if i < len(keys):
-                at = (h, i)
+                at = (node, i)
             if node.leaf:
                 break
-            h = node.children[i]
+            node = node.children[i]
         return path, at, False
 
     def search(self, key: int) -> bytes | None:
         path, at, found = self._descend(key)
         self._space.touch_blocks(path, False)
-        return self._nodes[at[0]].vals[at[1]] if found else None
+        return at[0].vals[at[1]] if found else None
 
     def update(self, key: int, value: bytes) -> bool:
         self._check_value(value)
@@ -127,9 +127,9 @@ class BTree(PlacedContainer):
         self._space.touch_blocks(path, False)
         if not found:
             return False
-        h, i = at
-        self._nodes[h].vals[i] = value
-        self._space.touch_block(h, True)
+        node, i = at
+        node.vals[i] = value
+        self._space.touch_block(node.h, True)
         return True
 
     def scan(self, key: int, length: int) -> list[tuple[int, bytes]]:
@@ -141,35 +141,30 @@ class BTree(PlacedContainer):
         after the last pair included."""
         if length < 1:
             raise UsageError(f"scan length must be >= 1, got {length}")
-        nodes = self._nodes
         # the walk only reads, so its touches are accounted in one batch
         seen, at, _ = self._descend(key)
         out: list[tuple[int, bytes]] = []
         if at:
-            h, idx = at
-            node = nodes[h]
+            node, idx = at
             for _ in range(length):
                 out.append((node.keys[idx], node.vals[idx]))
                 if not node.leaf:
-                    h = node.children[idx + 1]
-                    seen.append(h)
-                    node = nodes[h]
+                    node = node.children[idx + 1]
+                    seen.append(node.h)
                     while not node.leaf:
-                        h = node.children[0]
-                        seen.append(h)
-                        node = nodes[h]
+                        node = node.children[0]
+                        seen.append(node.h)
                     idx = 0
                 elif idx + 1 < len(node.keys):
                     idx += 1
                 else:
-                    child, h = h, node.parent
-                    while h:
-                        seen.append(h)
-                        node = nodes[h]
+                    child, node = node, node.parent
+                    while node:
+                        seen.append(node.h)
                         idx = node.children.index(child)
                         if idx < len(node.keys):
                             break
-                        child, h = h, node.parent
+                        child, node = node, node.parent
                     else:
                         break   # no successor
         self._space.touch_blocks(seen, False)
@@ -181,115 +176,108 @@ class BTree(PlacedContainer):
         """Insert one pair; returns False (and changes nothing) when the key
         is already present."""
         self._check_value(value)
-        if not self._root:
-            h = self._place(0, 0, 0, self._layout, ())
-            self._nodes[h] = _Node([key], [value], [], 0, True)
-            self._splice_after(0, h)
-            self._root = h
+        root = self._root
+        if not root:
+            h = self._place(None, None, None, self._layout)
+            root = _Node(h, [key], [value], [], None, True)
+            self._nodes[h] = root
+            self._splice_after(None, root)
+            self._root = root
             self._height = 1
             self._size = 1
             return True
-        baby, sep_k, sep_v, inserted = self._ins_rec(self._root, key, value)
+        baby, sep_k, sep_v, inserted = self._ins_rec(root, key, value)
         if baby:
-            held = [self._root, baby]
-            new_h = self._place(self._root, 0, 0, self._layout, held)
-            old_root, baby = held
-            self._nodes[new_h] = _Node([sep_k], [sep_v], [old_root, baby], 0, False)
-            self._space.touch_block(new_h, True)
-            self._nodes[old_root].parent = new_h
-            self._space.touch_block(old_root, True)
-            self._nodes[baby].parent = new_h
-            self._space.touch_block(baby, True)
-            self._splice_after(0, new_h)
-            self._root = new_h
+            touch = self._space.touch_block
+            h = self._place(root, None, None, self._layout)
+            new = _Node(h, [sep_k], [sep_v], [root, baby], None, False)
+            self._nodes[h] = new
+            touch(h, True)
+            root.parent = new
+            touch(root.h, True)
+            baby.parent = new
+            touch(baby.h, True)
+            self._splice_after(None, new)
+            self._root = new
             self._height += 1
         if inserted:
             self._size += 1
         return inserted
 
-    def _ins_rec(self, h: Handle, key: int, value: bytes):
-        """Insert below ``h``.  Returns (new sibling of ``h`` or 0, the
+    def _ins_rec(self, node: _Node, key: int, value: bytes):
+        """Insert below ``node``.  Returns (its new sibling or None, the
         separator pair it pushes up, whether the key was new)."""
-        node = self._nodes[h]
-        self._space.touch_block(h, False)
+        self._space.touch_block(node.h, False)
         keys = node.keys
         i = bisect_right(keys, key)
         if i and keys[i - 1] == key:
-            return 0, None, None, False
+            return None, None, None, False
         # a leaf takes the pair itself; an internal node takes the separator
         # and the new child that a split below pushes up, if any
-        baby, inserted = 0, True
+        baby, inserted = None, True
         if not node.leaf:
             baby, key, value, inserted = self._ins_rec(node.children[i], key, value)
             if not baby:
-                return 0, None, None, inserted
+                return None, None, None, inserted
         if len(keys) < self._max_keys:
             keys.insert(i, key)
             node.vals.insert(i, value)
             if baby:
                 node.children.insert(i + 1, baby)
-            self._space.touch_block(h, True)
-            return 0, None, None, inserted
-        held = [baby]
-        new_h = self._place_sibling(h, held)
-        up_k, up_v = self._split(h, new_h, i, key, value, held[0])
-        return new_h, up_k, up_v, inserted
+            self._space.touch_block(node.h, True)
+            return None, None, None, inserted
+        right, up_k, up_v = self._split(node, i, key, value, baby)
+        return right, up_k, up_v, inserted
 
-    def _split(self, h, new_h, i, key, value, baby):
-        """Insert the pair at ``i`` of the full node ``h`` (and, in an
-        internal node, the child ``baby`` right of it), move the upper half
-        to ``new_h`` and return the middle pair, which moves up."""
-        node = self._nodes[h]
+    def _split(self, node, i, key, value, baby):
+        """Place a sibling of the full ``node``, insert the pair at ``i`` (and,
+        in an internal node, the child ``baby`` right of it), move the upper
+        half to the sibling and return the sibling and the middle pair, which
+        moves up.
+
+        The sibling's block is probed near the split node, or near its parent
+        in the parent-anchored variants, with the parent as the hint, and it
+        follows the split node on the priority list."""
+        parent = node.parent
+        anchor = node
+        if self._variant in _PARENT_ANCHOR_VARIANTS:
+            anchor = parent or node
+        new_h = self._place(anchor, node, parent, self._layout)
         keys, vals, children = node.keys, node.vals, node.children
         keys.insert(i, key)
         vals.insert(i, value)
         if baby:
             children.insert(i + 1, baby)
         mid = self._max_keys // 2
-        right = _Node(keys[mid + 1:], vals[mid + 1:], children[mid + 1:],
-                      node.parent, node.leaf)
+        right = _Node(new_h, keys[mid + 1:], vals[mid + 1:], children[mid + 1:],
+                      parent, node.leaf)
         up_k, up_v = keys[mid], vals[mid]
         del keys[mid:]
         del vals[mid:]
         del children[mid + 1:]
         self._nodes[new_h] = right
+        touch = self._space.touch_block
         for c in right.children:
-            self._nodes[c].parent = new_h
-            self._space.touch_block(c, True)
-        self._space.touch_block(h, True)
-        self._space.touch_block(new_h, True)
-        self._splice_after(h, new_h)
-        return up_k, up_v
-
-    # -- node placement --------------------------------------------------
-
-    def _place_sibling(self, split_h: Handle, held) -> Handle:
-        """Block for the new sibling created by splitting ``split_h``."""
-        parent = self._nodes[split_h].parent
-        anchor = split_h
-        if self._variant in _PARENT_ANCHOR_VARIANTS:
-            anchor = parent or split_h
-        return self._place(anchor, split_h, parent, self._layout, held)
+            c.parent = right
+            touch(c.h, True)
+        touch(node.h, True)
+        touch(new_h, True)
+        self._splice_after(node, right)
+        return right, up_k, up_v
 
     # -- relocation ------------------------------------------------------
 
-    def _repoint(self, h: Handle, new_h: Handle, node: _Node, referrers) -> None:
-        """Patch the parent's child slot, the children's parent links and the
-        root; the parent link finds the only referrer, so ``referrers`` is
-        unused."""
+    def _repoint(self, node: _Node, referrers) -> None:
+        """Touch the parent's child slot and the children's parent links,
+        the pointers to the moved ``node``.  The parent link finds the only
+        referrer, so ``referrers`` is unused; a freshly split node that its
+        parent does not hold yet has no slot there to touch."""
+        touch = self._space.touch_block
         p = node.parent
-        if p:
-            siblings = self._nodes[p].children
-            try:
-                siblings[siblings.index(h)] = new_h
-                self._space.touch_block(p, True)
-            except ValueError:
-                pass   # a freshly split node not yet wired into its parent
+        if p and node in p.children:
+            touch(p.h, True)
         for c in node.children:
-            self._nodes[c].parent = new_h
-            self._space.touch_block(c, True)
-        if self._root == h:
-            self._root = new_h
+            touch(c.h, True)
 
     # -- batch rearrangement ---------------------------------------------
 
@@ -306,42 +294,30 @@ class BTree(PlacedContainer):
                 self._dfs_visit(self._root, dest.place)
         return dest.created
 
-    def _dfs_visit(self, h, place):
-        node = self._nodes[h]
-        self._space.touch_block(h, False)
-        if not node.leaf:
-            children = node.children
-            for i in range(len(children)):
-                self._dfs_visit(children[i], place)
-        if self._space.is_purely_local(h):
-            return h
-        return self._relocate(h, place)
+    def _dfs_visit(self, node, place):
+        self._space.touch_block(node.h, False)
+        for c in node.children:
+            self._dfs_visit(c, place)
+        if not self._space.is_purely_local(node.h):
+            self._relocate(node, place)
 
-    def _veb_visit(self, h, height, place):
-        if height == 0:
-            return h
+    def _veb_visit(self, node, height, place):
         if height == 1:
-            self._space.touch_block(h, False)
-            if self._space.is_purely_local(h):
-                return h
-            return self._relocate(h, place)
+            self._space.touch_block(node.h, False)
+            if not self._space.is_purely_local(node.h):
+                self._relocate(node, place)
+            return
         lower = height // 2
         upper = height - lower
-        h = self._veb_visit(h, upper, place)
-        for d in self._descendants_below(h, upper):
+        self._veb_visit(node, upper, place)
+        for d in self._descendants_below(node, upper):
             self._veb_visit(d, lower, place)
-        return h
 
-    def _descendants_below(self, h, generations):
-        level = [h]
+    def _descendants_below(self, node, generations):
+        level = [node]
         for _ in range(generations):
-            self._space.touch_blocks(level, False)
-            nxt = []
-            for hh in level:
-                node = self._nodes[hh]
-                if not node.leaf:
-                    nxt.extend(node.children)
-            level = nxt
+            self._space.touch_blocks([n.h for n in level], False)
+            level = [c for n in level for c in n.children]
         return level
 
     # -- offline inspection (no touch accounting) ------------------------
@@ -349,8 +325,7 @@ class BTree(PlacedContainer):
     def items(self) -> list[tuple[int, bytes]]:
         out: list[tuple[int, bytes]] = []
 
-        def rec(h):
-            node = self._nodes[h]
+        def rec(node):
             if node.leaf:
                 out.extend(zip(node.keys, node.vals))
                 return
@@ -380,10 +355,10 @@ class BTree(PlacedContainer):
             node.vals[:] = vals
 
     def structural_links(self):
-        """Parent-to-child edges, one tuple per live link."""
+        """Parent-to-child edges, one handle pair per live link."""
         for h, node in self._nodes.items():
             for c in node.children:
-                yield h, c
+                yield h, c.h
 
     def validate(self) -> None:
         """Assert every structural and placement invariant; the tests' one full check."""
@@ -392,34 +367,33 @@ class BTree(PlacedContainer):
         if not self._root:
             assert not nodes and self._size == 0
             return
-        depths: dict[Handle, int] = {}
+        depths: dict[_Node, int] = {}
         leaf_depths: set[int] = set()
         total_pairs = 0
 
-        def rec(h, parent, depth, lo, hi):
+        def rec(node, parent, depth, lo, hi):
             nonlocal total_pairs
-            node = nodes[h]
-            assert node.parent == parent, "parent link out of date"
+            assert node.parent is parent, "parent link out of date"
             ks = node.keys
             assert ks == sorted(set(ks)), "keys must be strictly increasing"
-            limit = 1 if h == self._root else self._min_keys
+            limit = 1 if node is self._root else self._min_keys
             assert limit <= len(ks) <= self._max_keys, "key count out of range"
             if lo is not None:
                 assert ks[0] > lo
             if hi is not None:
                 assert ks[-1] < hi
             total_pairs += len(ks)
-            depths[h] = depth
+            depths[node] = depth
             if node.leaf:
                 assert not node.children
                 leaf_depths.add(depth)
                 return
             assert len(node.children) == len(ks) + 1
             for i, c in enumerate(node.children):
-                rec(c, h, depth + 1,
+                rec(c, node, depth + 1,
                     ks[i - 1] if i else lo, ks[i] if i < len(ks) else hi)
 
-        rec(self._root, 0, 0, None, None)
+        rec(self._root, None, 0, None, None)
         assert len(leaf_depths) == 1, "leaves must share one depth"
         assert len(depths) == len(nodes), "unreachable or duplicated nodes"
         assert self._height == next(iter(leaf_depths)) + 1

@@ -12,15 +12,20 @@ here, once:
   allocator, else on the page of a swappable probe node, else in the
   purely-local region, making room there by moving nodes from the back of
   the prefix to swappable memory, else plain swappable;
-* the priority-list half of relocating a node;
+* relocating a node;
 * the destinations of a batch rearrangement.
 
-A container keeps its node layout, its descent, scan and traversal loops,
-and picks the arguments of ``_place``: the node to probe, the node the new
-one will follow on the priority list, and the hint.  For relocation it supplies
-``_repoint(h, new_h, node, referrers)``, which rewrites its structural
-pointers to the moved node, and, when those cannot be found from the node
-itself, ``_referrers(h)``.  Every node object carries ``prev``/``next``
+Structural pointers hold node objects; a node's handle, ``node.h``, is its
+block in the simulated space, and ``_nodes`` maps each live handle to its
+node.  Relocating a node therefore moves one block: it sets ``node.h``,
+re-keys ``_nodes`` and frees the old block, and no pointer changes.  The
+space still accounts the pointer writes a real relocation makes, so a
+container supplies ``_repoint(node, referrers)``, which touches the nodes
+that point to the moved one, and, when those cannot be found from the node
+itself, ``_referrers(node)``.  A container keeps its node layout, its
+descent, scan and traversal loops, and picks the arguments of ``_place``:
+the node to probe, the node the new one will follow on the priority list,
+and the hint.  Every node object carries ``h`` and its ``prev``/``next``
 priority-list links; its block size is read from the space's ledger.
 """
 from __future__ import annotations
@@ -63,9 +68,10 @@ class PlacedContainer:
         self._layouts = {}
         self._nodes = {}
         self._size = 0
-        self._prio_head: Handle = 0
-        self._prio_tail: Handle = 0
-        self._least_priority: Handle = 0
+        # the priority list's first node and the purely-local prefix's last,
+        # None while the list or the prefix is empty
+        self._prio_head = None
+        self._least_priority = None
 
     # -- basic properties ------------------------------------------------
 
@@ -98,9 +104,9 @@ class PlacedContainer:
     def _alloc_plain(self, layout) -> Handle:
         return self._alloc.sub_allocate(self._alloc.swappable_plain, 1, layout)
 
-    def _place(self, probe: Handle, stop: Handle, hint: Handle, layout, held) -> Handle:
-        """A block for a new node that will follow ``stop`` on the priority
-        list (0: the head).
+    def _place(self, probe, stop, hint, layout) -> Handle:
+        """A block for a new node that will follow node ``stop`` on the
+        priority list (None: the head).
 
         The hint variant takes the hint allocator's block near ``hint``.
         Otherwise a swappable ``probe`` tries the sub-allocator that owns it.
@@ -108,101 +114,85 @@ class PlacedContainer:
         the head or purely local, a purely-local carve is tried, and each
         failure moves the least-priority node to swappable memory, until the
         carve fits or ``stop`` is the prefix's last node: ``stop`` and every
-        node ahead of it stay put.  Entries of ``held`` that name a moved
-        node are updated to its new handle.  Failing all of that, the block
-        is plain swappable.
+        node ahead of it stay put.  Failing all of that, the block is plain
+        swappable.
         """
         if self._halloc is not None:
-            return self._halloc.allocate(1, layout, hint or None)
+            return self._halloc.allocate(1, layout, hint.h if hint else None)
         alloc = self._alloc
         space = self._space
-        if probe and not space.is_purely_local(probe):
+        if probe and not space.is_purely_local(probe.h):
             try:
-                return alloc.sub_allocate(alloc.get_suballocator_by_handle(probe), 1, layout)
+                return alloc.sub_allocate(alloc.get_suballocator_by_handle(probe.h), 1, layout)
             except CapacityExhausted:
                 pass
-        if self._uses_local and (not stop or space.is_purely_local(stop)):
+        if self._uses_local and (not stop or space.is_purely_local(stop.h)):
             while True:
                 try:
                     return alloc.sub_allocate(alloc.purely_local, 1, layout)
                 except CapacityExhausted:
                     pass
                 lp = self._least_priority
-                if lp == stop:
+                if lp is stop:
                     break
-                new_lp = self._relocate(lp, self._alloc_plain, self._referrers(lp))
-                for i, x in enumerate(held):
-                    if x == lp:
-                        held[i] = new_lp
+                self._relocate(lp, self._alloc_plain, self._referrers(lp))
         return self._alloc_plain(layout)
 
     # -- priority list ---------------------------------------------------
 
-    def _splice_after(self, anchor: Handle, h: Handle) -> None:
-        """Link node ``h`` into the priority list right after ``anchor``
-        (0: at the head).  A purely-local ``h`` right after the prefix's last
-        node becomes its new last node."""
-        nodes = self._nodes
+    def _splice_after(self, anchor, node) -> None:
+        """Link ``node`` into the priority list right after ``anchor``
+        (None: at the head).  A purely-local ``node`` right after the
+        prefix's last node becomes its new last node."""
         touch = self._space.touch_block
-        node = nodes[h]
         if anchor:
-            a = nodes[anchor]
-            nxt = a.next
-            a.next = h
-            touch(anchor, True)
+            nxt = anchor.next
+            anchor.next = node
+            touch(anchor.h, True)
         else:
             nxt = self._prio_head
-            self._prio_head = h
+            self._prio_head = node
         node.prev = anchor
         node.next = nxt
         if nxt:
-            n = nodes[nxt]
-            n.prev = h
-            touch(nxt, True)
-        else:
-            self._prio_tail = h
-        touch(h, True)
-        if self._least_priority == anchor and self._space.is_purely_local(h):
-            self._least_priority = h
+            nxt.prev = node
+            touch(nxt.h, True)
+        touch(node.h, True)
+        if self._least_priority is anchor and self._space.is_purely_local(node.h):
+            self._least_priority = node
 
     # -- relocation ------------------------------------------------------
 
-    def _referrers(self, h: Handle):
-        """What ``_repoint`` needs to find the references to ``h``; called
-        before the move, because finding them may touch nodes."""
+    def _referrers(self, node):
+        """What ``_repoint`` needs to find the nodes that point to ``node``;
+        called before the move, because finding them may touch nodes."""
         return None
 
-    def _relocate(self, h: Handle, place, referrers=None) -> Handle:
-        """Move node ``h`` into the block ``place(layout)`` returns and free
-        the old block; its priority-list position is unchanged."""
+    def _relocate(self, node, place, referrers=None) -> None:
+        """Move ``node`` into the block ``place(layout)`` returns and free
+        the old block.  Its pointers and its priority-list position stay;
+        the space sees the old block read, the new one written, and the
+        writes of every pointer to the node: ``_repoint``'s, then its
+        priority-list neighbours'."""
         nodes = self._nodes
         touch = self._space.touch_block
-        node = nodes[h]
+        h = node.h
         layout = self._layouts[self._space.block_size(h)]
         new_h = place(layout)
         touch(h, False)
         nodes[new_h] = node
         del nodes[h]
+        node.h = new_h
         touch(new_h, True)
-        self._repoint(h, new_h, node, referrers)
-        prev, nxt = node.prev, node.next
-        if prev:
-            p = nodes[prev]
-            p.next = new_h
-            touch(prev, True)
-        elif self._prio_head == h:
-            self._prio_head = new_h
-        if nxt:
-            n = nodes[nxt]
-            n.prev = new_h
-            touch(nxt, True)
-        elif self._prio_tail == h:
-            self._prio_tail = new_h
-        if self._least_priority == h:
+        self._repoint(node, referrers)
+        if node.prev:
+            touch(node.prev.h, True)
+        if node.next:
+            touch(node.next.h, True)
+        if self._least_priority is node and not self._space.is_purely_local(new_h):
             # a swappable destination ends the prefix one node earlier
-            self._least_priority = new_h if self._space.is_purely_local(new_h) else prev
+            self._least_priority = node.prev
         self._allocator.deallocate(h, 1, layout)
-        return new_h
 
     # -- batch rearrangement ---------------------------------------------
 
@@ -213,27 +203,27 @@ class PlacedContainer:
 
     # -- offline inspection (no touch accounting) ------------------------
 
-    def _check_priority_list(self) -> list[Handle]:
-        """Assert the priority-list and purely-local-prefix invariants;
-        returns the list front to back."""
+    def _check_priority_list(self) -> list:
+        """Assert the priority-list and purely-local-prefix invariants, and
+        that every node's handle maps back to it; returns the list's nodes
+        front to back."""
         nodes = self._nodes
         space = self._space
         seen = []
-        prev = 0
-        h = self._prio_head
-        while h:
-            node = nodes[h]
-            assert node.prev == prev
-            seen.append(h)
-            prev = h
-            h = node.next
-        assert self._prio_tail == prev
-        assert len(seen) == len(nodes) and set(seen) == set(nodes), \
+        prev = None
+        node = self._prio_head
+        while node:
+            assert node.prev is prev
+            assert nodes.get(node.h) is node, "a node's handle must map to it"
+            seen.append(node)
+            prev = node
+            node = node.next
+        assert len(seen) == len(nodes) and {n.h for n in seen} == nodes.keys(), \
             "priority list must contain every node exactly once"
-        flags = [space.is_purely_local(x) for x in seen]
+        flags = [space.is_purely_local(n.h) for n in seen]
         k = sum(flags)
         assert all(flags[:k]), "purely-local nodes must form a prefix"
-        assert self._least_priority == (seen[k - 1] if k else 0)
+        assert self._least_priority is (seen[k - 1] if k else None)
         if not self._uses_local:
             assert k == 0, "this variant must not hold purely-local nodes"
         return seen

@@ -56,15 +56,16 @@ def tower_block_bytes(level: int, value_slot: int) -> int:
 
 
 class _SkipNode:
-    __slots__ = ("key", "val", "level", "forwards", "prev", "next")
+    __slots__ = ("h", "key", "val", "level", "forwards", "prev", "next")
 
-    def __init__(self, key, val, level):
+    def __init__(self, h, key, val, level):
+        self.h = h
         self.key = key
         self.val = val
         self.level = level
-        self.forwards = [0] * level
-        self.prev = 0
-        self.next = 0
+        self.forwards = [None] * level
+        self.prev = None
+        self.next = None
 
 
 class SkipList(PlacedContainer):
@@ -83,11 +84,12 @@ class SkipList(PlacedContainer):
             size = self._base + 8 * lvl
             self._layouts[size] = ObjectLayout(size)
         self._rng = random.Random(level_seed)
-        self._head: list[Handle] = [0] * MAX_LEVEL
+        # the head tower's forward pointers; None ends a level
+        self._head: list[_SkipNode | None] = [None] * MAX_LEVEL
         self._levels = 0
         # _tails[lvl] = last priority-list node of level >= lvl, the splice
         # point for a new node of that level
-        self._tails: list[Handle] = [0] * (MAX_LEVEL + 1)
+        self._tails: list[_SkipNode | None] = [None] * (MAX_LEVEL + 1)
 
     # -- basic properties ------------------------------------------------
 
@@ -103,25 +105,23 @@ class SkipList(PlacedContainer):
     # -- search plumbing -------------------------------------------------
 
     def _descend(self, key: int):
-        """The nodes the search for ``key`` reads, in order, touching
-        nothing; the predecessor handles per level (0 = head tower); and
-        the handle of the first node with key >= the target."""
-        nodes = self._nodes
-        update = [0] * MAX_LEVEL
+        """The handles of the nodes the search for ``key`` reads, in order,
+        touching nothing; the predecessor node per level (None = head
+        tower); and the first node with key >= the target."""
+        update = [None] * MAX_LEVEL
         seen = []
-        cur = 0
+        cur = None
         for lvl in reversed(range(self._levels)):
-            nxt = self._head[lvl] if not cur else nodes[cur].forwards[lvl]
+            nxt = self._head[lvl] if not cur else cur.forwards[lvl]
             while nxt:
-                n = nodes[nxt]
-                seen.append(nxt)
-                if n.key < key:
+                seen.append(nxt.h)
+                if nxt.key < key:
                     cur = nxt
-                    nxt = n.forwards[lvl]
+                    nxt = nxt.forwards[lvl]
                 else:
                     break
             update[lvl] = cur
-        cand = self._head[0] if not cur else nodes[cur].forwards[0]
+        cand = self._head[0] if not cur else cur.forwards[0]
         return seen, update, cand
 
     # -- queries ---------------------------------------------------------
@@ -129,22 +129,18 @@ class SkipList(PlacedContainer):
     def search(self, key: int) -> bytes | None:
         seen, _, cand = self._descend(key)
         self._space.touch_blocks(seen, False)
-        if cand:
-            n = self._nodes[cand]
-            if n.key == key:
-                return n.val
+        if cand and cand.key == key:
+            return cand.val
         return None
 
     def update(self, key: int, value: bytes) -> bool:
         self._check_value(value)
         seen, _, cand = self._descend(key)
         self._space.touch_blocks(seen, False)
-        if cand:
-            n = self._nodes[cand]
-            if n.key == key:
-                n.val = value
-                self._space.touch_block(cand, True)
-                return True
+        if cand and cand.key == key:
+            cand.val = value
+            self._space.touch_block(cand.h, True)
+            return True
         return False
 
     def scan(self, key: int, length: int) -> list[tuple[int, bytes]]:
@@ -154,14 +150,12 @@ class SkipList(PlacedContainer):
             raise UsageError(f"scan length must be >= 1, got {length}")
         # the descent and the walk only read, so their touches are
         # accounted in one batch
-        seen, _, h = self._descend(key)
+        seen, _, node = self._descend(key)
         out: list[tuple[int, bytes]] = []
-        nodes = self._nodes
-        while h and len(out) < length:
-            n = nodes[h]
-            seen.append(h)
-            out.append((n.key, n.val))
-            h = n.forwards[0]
+        while node and len(out) < length:
+            seen.append(node.h)
+            out.append((node.key, node.val))
+            node = node.forwards[0]
         self._space.touch_blocks(seen, False)
         return out
 
@@ -171,31 +165,30 @@ class SkipList(PlacedContainer):
         self._check_value(value)
         seen, update, cand = self._descend(key)
         self._space.touch_blocks(seen, False)
-        if cand and self._nodes[cand].key == key:
+        if cand and cand.key == key:
             return False
         level = self._draw_level()
         # the new node follows ``tail`` on the priority list; making room
         # stops at ``tail``, so it never moves
         tail = self._tails[level]
-        h = self._place(tail, tail, update[0], self._layouts[self.block_bytes(level)], update)
-        node = _SkipNode(key, value, level)
+        h = self._place(tail, tail, update[0], self._layouts[self.block_bytes(level)])
+        node = _SkipNode(h, key, value, level)
         self._nodes[h] = node
         touch = self._space.touch_block
         for i in range(level):
             pred = update[i]
             if pred:
-                pn = self._nodes[pred]
-                node.forwards[i] = pn.forwards[i]
-                pn.forwards[i] = h
-                touch(pred, True)
+                node.forwards[i] = pred.forwards[i]
+                pred.forwards[i] = node
+                touch(pred.h, True)
             else:
                 node.forwards[i] = self._head[i]
-                self._head[i] = h
+                self._head[i] = node
         touch(h, True)
-        self._splice_after(tail, h)
+        self._splice_after(tail, node)
         for lvl in range(1, level + 1):
-            if self._tails[lvl] == tail:
-                self._tails[lvl] = h
+            if self._tails[lvl] is tail:
+                self._tails[lvl] = node
         if level > self._levels:
             self._levels = level
         self._size += 1
@@ -203,27 +196,19 @@ class SkipList(PlacedContainer):
 
     # -- relocation ------------------------------------------------------
 
-    def _referrers(self, h: Handle) -> list[Handle]:
-        seen, update, _ = self._descend(self._nodes[h].key)
+    def _referrers(self, node: _SkipNode) -> list:
+        seen, update, _ = self._descend(node.key)
         self._space.touch_blocks(seen, False)
         return update
 
-    def _repoint(self, h: Handle, new_h: Handle, node: _SkipNode,
-                 preds: list[Handle]) -> None:
-        """Patch the level-wise predecessors (``preds[i]`` owns the forward
-        pointer in slot ``i``; 0 means the head tower) and the tails."""
+    def _repoint(self, node: _SkipNode, preds: list) -> None:
+        """Touch the level-wise predecessors, whose forward pointers lead to
+        the moved ``node`` (``preds[i]`` owns the one in slot ``i``; None is
+        the head tower, outside the space)."""
         touch = self._space.touch_block
-        for i in range(node.level):
-            pred = preds[i]
+        for pred in preds[:node.level]:
             if pred:
-                pn = self._nodes[pred]
-                pn.forwards[i] = new_h
-                touch(pred, True)
-            else:
-                self._head[i] = new_h
-        for lvl in range(1, self._levels + 1):
-            if self._tails[lvl] == h:
-                self._tails[lvl] = new_h
+                touch(pred.h, True)
 
     # -- batch rearrangement ---------------------------------------------
 
@@ -232,29 +217,26 @@ class SkipList(PlacedContainer):
         variant onto the previous node's page; returns the per-page
         sub-allocators created (empty for hint)."""
         dest = self._destinations()
-        last_seen = [0] * MAX_LEVEL
+        last_seen = [None] * MAX_LEVEL
         touch = self._space.touch_block
-        h = self._head[0]
-        while h:
-            node = self._nodes[h]
-            touch(h, False)
-            nxt = node.forwards[0]
-            if not self._space.is_purely_local(h):
-                h = self._relocate(h, dest.place, last_seen)
+        node = self._head[0]
+        while node:
+            touch(node.h, False)
+            if not self._space.is_purely_local(node.h):
+                self._relocate(node, dest.place, last_seen)
             for i in range(node.level):
-                last_seen[i] = h
-            h = nxt
+                last_seen[i] = node
+            node = node.forwards[0]
         return dest.created
 
     # -- offline inspection (no touch accounting) ------------------------
 
     def items(self) -> list[tuple[int, bytes]]:
         out = []
-        h = self._head[0]
-        while h:
-            n = self._nodes[h]
-            out.append((n.key, n.val))
-            h = n.forwards[0]
+        node = self._head[0]
+        while node:
+            out.append((node.key, node.val))
+            node = node.forwards[0]
         return out
 
     def save_values(self) -> dict[Handle, bytes]:
@@ -271,42 +253,38 @@ class SkipList(PlacedContainer):
             nodes[h].val = val
 
     def structural_links(self):
-        """Forward edges between stored nodes, every level; the head tower
-        contributes none."""
+        """Forward edges between stored nodes, every level, as handle pairs;
+        the head tower contributes none."""
         for h, node in self._nodes.items():
             for t in node.forwards:
                 if t:
-                    yield h, t
+                    yield h, t.h
 
     def validate(self) -> None:
         """Assert every structural and placement invariant; the tests' one full check."""
-        nodes = self._nodes
         seq = []
-        prev_key = None
-        h = self._head[0]
-        while h:
-            n = nodes[h]
-            assert prev_key is None or n.key > prev_key, "level-0 chain out of order"
-            seq.append(h)
-            prev_key = n.key
-            h = n.forwards[0]
-        assert len(seq) == len(nodes) == self._size
+        node = self._head[0]
+        while node:
+            assert not seq or node.key > seq[-1].key, "level-0 chain out of order"
+            seq.append(node)
+            node = node.forwards[0]
+        assert len(seq) == len(self._nodes) == self._size
         for i in range(MAX_LEVEL):
-            expect = [x for x in seq if nodes[x].level > i]
+            expect = [x for x in seq if x.level > i]
             got = []
-            h = self._head[i]
-            while h:
-                got.append(h)
-                h = nodes[h].forwards[i]
+            node = self._head[i]
+            while node:
+                got.append(node)
+                node = node.forwards[i]
             assert got == expect, f"forward chain {i} inconsistent"
         if seq:
-            assert max(nodes[x].level for x in seq) == self._levels
+            assert max(x.level for x in seq) == self._levels
         else:
             assert self._levels == 0
         plist = self._check_priority_list()
-        levels = [nodes[x].level for x in plist]
+        levels = [x.level for x in plist]
         assert levels == sorted(levels, reverse=True), \
             "priority list must be ordered by non-increasing level"
         for lvl in range(1, MAX_LEVEL + 1):
-            tall = [x for x in plist if nodes[x].level >= lvl]
-            assert self._tails[lvl] == (tall[-1] if tall else 0)
+            tall = [x for x in plist if x.level >= lvl]
+            assert self._tails[lvl] is (tall[-1] if tall else None)

@@ -174,56 +174,53 @@ def btree_height(tree) -> int:
 
 
 def btree_scan_path(tree, key: int, length: int):
-    """The pairs ``tree.scan(key, length)`` returns and the nodes it touches,
-    in order, from the tree's nodes alone.  The path runs from the root
-    towards ``key``; after each pair it follows the walk to that pair's
-    in-order successor (the leftmost path right of an internal entry, or
-    the parent links up from a leaf's last entry), the walk after the last
-    pair included, read or not.  A node is a leaf when it has no children,
-    a key's position in a node is the count of the node's keys below it,
-    and a child's slot in its parent that of the parent's keys below the
-    child's first key."""
-    nodes = tree._nodes
+    """The pairs ``tree.scan(key, length)`` returns and the handles of the
+    nodes it touches, in order, from the tree's nodes alone.  The path runs
+    from the root towards ``key``; after each pair it follows the walk to
+    that pair's in-order successor (the leftmost path right of an internal
+    entry, or the parent links up from a leaf's last entry), the walk after
+    the last pair included, read or not.  A node is a leaf when it has no
+    children, a key's position in a node is the count of the node's keys
+    below it, and a child's slot in its parent that of the parent's keys
+    below the child's first key."""
     path = []
     at = None
-    h = tree._root
-    while h:
-        node = nodes[h]
-        path.append(h)
+    node = tree._root
+    while node is not None:
+        path.append(node.h)
         i = sum(k < key for k in node.keys)
         if i < len(node.keys):
-            at = (h, i)
+            at = (node, i)
             if node.keys[i] == key:
                 break
         if not node.children:
             break
-        h = node.children[i]
+        node = node.children[i]
 
-    def successor(h, i):
-        node = nodes[h]
+    def successor(node, i):
         if node.children:
-            h = node.children[i + 1]
-            path.append(h)
-            while nodes[h].children:
-                h = nodes[h].children[0]
-                path.append(h)
-            return (h, 0)
+            node = node.children[i + 1]
+            path.append(node.h)
+            while node.children:
+                node = node.children[0]
+                path.append(node.h)
+            return (node, 0)
         if i + 1 < len(node.keys):
-            return (h, i + 1)
-        while nodes[h].parent:
-            first = nodes[h].keys[0]
-            h = nodes[h].parent
-            path.append(h)
-            slot = sum(k < first for k in nodes[h].keys)
-            if slot < len(nodes[h].keys):
-                return (h, slot)
+            return (node, i + 1)
+        while node.parent is not None:
+            first = node.keys[0]
+            node = node.parent
+            path.append(node.h)
+            slot = sum(k < first for k in node.keys)
+            if slot < len(node.keys):
+                return (node, slot)
         return None
 
     pairs = []
     while at is not None and len(pairs) < length:
-        h, i = at
-        pairs.append((nodes[h].keys[i], nodes[h].vals[i]))
-        at = successor(h, i)
+        node, i = at
+        pairs.append((node.keys[i], node.vals[i]))
+        at = successor(node, i)
     return pairs, path
 
 
@@ -237,10 +234,10 @@ def skiplist_chain(slist) -> list[int]:
     """Node handles in key order.  Reaches into the level-0 chain because the
     public surface exposes keys and links but not their association."""
     out = []
-    h = slist._head[0]
-    while h:
-        out.append(h)
-        h = slist._nodes[h].forwards[0]
+    node = slist._head[0]
+    while node is not None:
+        out.append(node.h)
+        node = node.forwards[0]
     return out
 
 

@@ -89,7 +89,10 @@ GOOD_LINE = '{"correct": true, "failed": 0}\n'
     ("[1, 2]\n", (".json", ".child.json")),
     (GOOD_LINE, (".child.json",)),
     (GOOD_LINE, (".json",)),
-], ids=["silent", "not-json", "not-object", "no-record", "no-child-record"])
+    ("{}\n", (".json", ".child.json")),
+    (GOOD_LINE, (".json", ".child.json")),
+], ids=["silent", "not-json", "not-object", "no-record", "no-child-record", "empty-objects",
+        "no-metrics"])
 def test_a_run_that_goes_wrong_ends_in_error(tmp_path, line, writes):
     checkout = fake_checkout(tmp_path / "checkout", line, writes)
     out = tmp_path / "out"

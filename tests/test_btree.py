@@ -34,10 +34,12 @@ def pl_handles(tree):
 
 def relocate(tree, h, page_ref=None):
     """Move node ``h`` to the sub-allocator ``page_ref`` (default: swappable
-    plain memory) through the tree's own relocation."""
+    plain memory) through the tree's own relocation; returns its new handle."""
     alloc = tree._alloc
     ref = alloc.swappable_plain if page_ref is None else page_ref
-    return tree._relocate(h, lambda layout: alloc.sub_allocate(ref, 1, layout))
+    node = tree._nodes[h]
+    tree._relocate(node, lambda layout: alloc.sub_allocate(ref, 1, layout))
+    return node.h
 
 
 # -- construction --------------------------------------------------------

@@ -24,7 +24,8 @@ sides alike.  It writes ``BENCH_<n>_<parent sha>.json`` into ``--out-dir``
 
 ``--tiny`` is passed through to perfbench.  Bad arguments end in ``error:``
 and exit 1 before any run; so does a run that fails, prints nothing, ends
-in a line that is not a JSON object or leaves a record missing.
+in a line that is not a JSON object, leaves a record missing or leaves out
+a key that this summary reads.
 """
 from __future__ import annotations
 
@@ -116,9 +117,17 @@ def bench_path(out_dir: Path, parent_sha: str) -> Path:
     return out_dir / f"BENCH_{max(taken, default=0) + 1}_{parent_sha}.json"
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, tiny: bool) -> dict:
+# the keys the summary reads of a run's result line, run record and child record
+RESULT_KEYS = ("correct", "failed", "metrics")
+RECORD_KEYS = ("fingerprint_checked", "cpu", "cores", "numpy")
+CHILD_KEYS = ("reps", "median_probe_s", "fingerprint")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, tiny: bool,
+             metrics) -> dict:
     """One ``perfbench/run.py --trace 0`` run: its result line, its run
-    record and its child's record of the sweeps."""
+    record and its child's record of the sweeps, each checked for the keys
+    the summary reads, the ``value`` of each of ``metrics`` included."""
     where = f"{workload} seed {seed} in {str(checkout)!r}"
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as out:
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -130,16 +139,35 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, tiny: boo
         lines = done.stdout.strip().splitlines()
         if not lines:
             raise PairError(f"{where} printed nothing")
-        run = {"result": parse_json(lines[-1], f"the last line of {where}")}
-        if not isinstance(run["result"], dict):
-            raise PairError(f"the last line of {where} is not a JSON object")
+        what = f"the last line of {where}"
+        run = {"result": require(parse_json(lines[-1], what), RESULT_KEYS, what)}
+        for name in metrics:
+            require(require(run["result"]["metrics"], (name,), f"the metrics of {what}")[name],
+                    ("value",), f"metric {name} of {what}")
         tag = f"{workload}-seed{seed}-trace0"
-        for key, suffix in (("record", ".json"), ("child", ".child.json")):
+        for key, suffix, keys in (("record", ".json", RECORD_KEYS),
+                                  ("child", ".child.json", CHILD_KEYS)):
             path = Path(out) / f"{tag}{suffix}"
             if not path.is_file():
                 raise PairError(f"{where} wrote no {path.name}")
-            run[key] = parse_json(path.read_text(), f"{path.name} of {where}")
+            what = f"{path.name} of {where}"
+            run[key] = require(parse_json(path.read_text(), what), keys, what)
+        reps = run["child"]["reps"]
+        if not isinstance(reps, list) or not reps:
+            raise PairError(f"the reps of {where} are not a non-empty list")
+        for rep in reps:
+            require(rep, PHASES, f"a rep of {where}")
         return run
+
+
+def require(doc, keys, what: str):
+    """``doc`` when it is a JSON object holding every one of ``keys``."""
+    if not isinstance(doc, dict):
+        raise PairError(f"{what} is not a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise PairError(f"{what} has no " + ", ".join(missing))
+    return doc
 
 
 def parse_json(text: str, what: str):
@@ -226,7 +254,8 @@ def main(argv=None) -> int:
             for seed in seeds:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for side in order:
-                    run = run_once(getattr(args, side), w, seed, args.seconds, args.tiny)
+                    run = run_once(getattr(args, side), w, seed, args.seconds, args.tiny,
+                                   [spec["name"] for spec in args.bench["end_to_end"]])
                     runs[side].append(run)
                     record = run["record"]
                     print(f"{w} seed {seed} {side}: correct {run['result']['correct']}",
