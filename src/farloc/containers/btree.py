@@ -93,6 +93,12 @@ class BTree(PlacedContainer):
         self._root = None
         self._height = 0
 
+    def __del__(self):
+        # a parent link closes a reference cycle with the parent's child slot
+        for node in self._nodes.values():
+            node.parent = None
+        super().__del__()
+
     # -- queries ---------------------------------------------------------
 
     def _descend(self, key: int):

@@ -48,6 +48,7 @@ class PlacedContainer:
     """
 
     def __init__(self, allocator, variant, value_slot: int):
+        self._nodes = {}
         if value_slot < 1:
             raise ConfigError(f"value slot must be positive, got {value_slot}")
         if variant is self.HINT:
@@ -66,12 +67,19 @@ class PlacedContainer:
         self._value_slot = value_slot
         self._uses_local = variant in self.LOCAL_VARIANTS
         self._layouts = {}
-        self._nodes = {}
         self._size = 0
         # the priority list's first node and the purely-local prefix's last,
         # None while the list or the prefix is empty
         self._prio_head = None
         self._least_priority = None
+
+    def __del__(self):
+        # Node links form reference cycles: ``prev`` with the ``next`` it
+        # mirrors, and ``next`` (priority order) with structural pointers (key
+        # order).  Cutting the priority list frees a dropped container's nodes
+        # at once, not at the next full garbage collection.
+        for node in self._nodes.values():
+            node.prev = node.next = None
 
     # -- basic properties ------------------------------------------------
 

@@ -8,8 +8,11 @@ a plain dict and every structural and placement invariant must hold.
 
 The purely-local carves of whole builds are counted too: a carve that
 cannot fit fails with ``CapacityExhausted``, and ``_place`` tries one only
-where the new node may join the purely-local prefix.
+where the new node may join the purely-local prefix.  And a dropped build's
+nodes, whose links form reference cycles, go when the container goes.
 """
+import gc
+
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -111,3 +114,24 @@ def test_purely_local_carves_of_a_build(monkeypatch, variant, calls, failures):
     monkeypatch.setattr(Space, "carve_purely_local", counting_carve)
     _build(BenchConfig(variant=variant, total_data_bytes=256 * 1024, l_percent=50, seed=0))
     assert seen == [calls, failures]
+
+
+@pytest.mark.parametrize("variant", ["local+dfs", "skip-local+page"])
+def test_a_dropped_container_frees_its_nodes_without_a_collection(variant):
+    container, _ = _build(BenchConfig(variant=variant, total_data_bytes=64 * 1024,
+                                      l_percent=50, seed=0))
+    node_type = type(next(iter(container._nodes.values())))
+    count = container.node_count
+
+    def live_nodes():
+        return sum(type(o) is node_type for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_nodes()
+        assert before >= count
+        del container
+        assert live_nodes() == before - count
+    finally:
+        gc.enable()
