@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .farmem import (
-    CapacityExhausted,
     Handle,
     PageId,
     Space,
@@ -42,24 +41,20 @@ class SubAllocatorRef:
 
 @dataclass(frozen=True)
 class ObjectLayout:
+    """The size of one object; checked once, when the layout is built."""
+
     size_bytes: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             raise UsageError(f"object size must be positive, got {self.size_bytes}")
 
 
 def _request_bytes(count: int, layout: ObjectLayout) -> int:
-    """Bytes of ``count`` objects of ``layout``, once both are checked."""
-    layout.validate()
+    """Bytes of ``count`` objects of ``layout``, once the count is checked."""
     if count < 1:
         raise UsageError(f"count must be >= 1, got {count}")
     return count * layout.size_bytes
-
-
-def _check_fits_page(space: Space, total: int) -> None:
-    if total > space.cfg.page_size_bytes:
-        raise UsageError(f"swappable block of {total} bytes cannot fit one page")
 
 
 def _check_free(space: Space, handle: Handle, count: int, layout: ObjectLayout) -> None:
@@ -79,26 +74,32 @@ class _PagePool:
     new empty page is opened only when no owned page can serve the request.
     Blocks are placed by size alone, so a page whose largest extent fits a
     request always serves it.  Pages are never retired, so a fully freed
-    page stays owned and is reused.
+    page stays owned and is reused.  A block larger than a page is refused
+    where a new page would open, before it opens.  A pool opened with an
+    ``owners`` dict records ``owner`` there as the owner of each page it
+    opens.
 
     A flat max-segment tree over per-page largest extents replaces the
     linear creation-order scan with an O(log n) leftmost-fit descent; every
     carve or free refreshes one leaf-to-root path.  The tree is the only
     cache of a page's largest extent: a page's free list keeps none, and a
-    leaf is re-read from it.  Frees and hinted carves bypass ``allocate``,
-    so their callers report each owned page they change via ``refresh`` to
-    keep its leaf exact.
+    leaf is re-read from it.  Being exact, a leaf also answers whether a
+    preferred page fits a request, so a preferred page that cannot fit
+    falls back to first fit without a failed carve.  Frees bypass
+    ``allocate``, so their callers report each owned page they change via
+    ``refresh`` to keep its leaf exact.
     """
 
-    __slots__ = ("_space", "_pages", "_pos", "_cap", "_tree", "_on_new_page")
+    __slots__ = ("_space", "_pages", "_pos", "_cap", "_tree", "_owners", "_owner")
 
-    def __init__(self, space: Space, on_new_page=None):
+    def __init__(self, space: Space, owners: dict | None = None, owner=None):
         self._space = space
         self._pages: list[PageId] = []
         self._pos: dict[PageId, int] = {}
         self._cap = 1
         self._tree = [0, 0]         # 1-based heap layout, leaves at _cap.._cap*2-1
-        self._on_new_page = on_new_page
+        self._owners = owners
+        self._owner = owner
 
     @property
     def pages(self) -> tuple[PageId, ...]:
@@ -138,18 +139,24 @@ class _PagePool:
         """Re-read the largest free extent of owned ``page``."""
         self._set(self._pos[page], self._space.page_max_free(page))
 
-    def allocate(self, size: int) -> Handle:
+    def allocate(self, size: int, page: PageId | None = None) -> Handle:
+        """A block of ``size`` bytes on owned ``page`` when it fits there,
+        else on the first owned page that fits, else on a new page."""
         t = self._tree
-        if t[1] >= size:
-            cap = self._cap
-            i = 1
-            while i < cap:
-                i *= 2
-                if t[i] < size:
-                    i += 1
-            pos = i - cap
-        else:
-            pos = self._open_page()
+        cap = self._cap
+        pos = self._pos.get(page)
+        if pos is None or t[cap + pos] < size:
+            if t[1] >= size:
+                i = 1
+                while i < cap:
+                    i *= 2
+                    if t[i] < size:
+                        i += 1
+                pos = i - cap
+            elif size > self._space.cfg.page_size_bytes:
+                raise UsageError(f"swappable block of {size} bytes cannot fit one page")
+            else:
+                pos = self._open_page()
         page = self._pages[pos]
         h = self._space.carve_in_page(page, size)
         self._set(pos, self._space.page_max_free(page))
@@ -163,8 +170,8 @@ class _PagePool:
         self._pages.append(page)
         if pos == self._cap:
             self._grow()
-        if self._on_new_page is not None:
-            self._on_new_page(page)
+        if self._owners is not None:
+            self._owners[page] = self._owner
         return pos
 
 
@@ -178,10 +185,7 @@ class CollectiveAllocator:
         self._purely_local = SubAllocatorRef(Kind.PURELY_LOCAL, 0)
         self._plain = SubAllocatorRef(Kind.SWAPPABLE_PLAIN, 0)
         self._page_owner: dict[PageId, SubAllocatorRef] = {}
-        self._plain_pool = _PagePool(space, self._claim_for_plain)
-
-    def _claim_for_plain(self, page: PageId) -> None:
-        self._page_owner[page] = self._plain
+        self._plain_pool = _PagePool(space, self._page_owner, self._plain)
 
     @property
     def space(self) -> Space:
@@ -211,47 +215,47 @@ class CollectiveAllocator:
 
     def get_suballocator_by_handle(self, handle: Handle) -> SubAllocatorRef:
         page = self._space.page_of(handle)   # validates the handle
-        if page is None:
-            return self._purely_local
-        owner = self._page_owner.get(page)
+        owner = self._purely_local if page is None else self._page_owner.get(page)
         if owner is None:
             raise UsageError(f"handle {handle:#x} is not managed by this allocator")
         return owner
 
-    def _known(self, ref: SubAllocatorRef) -> PageId | None:
-        """The page a per-page ``ref`` owns, None for the two singletons;
-        raises for a ref this allocator did not hand out."""
-        if ref.kind is Kind.NEW_PER_PAGE:
-            if self._page_owner.get(ref.id) == ref:
-                return ref.id
-        elif ref == self._purely_local or ref == self._plain:
-            return None
+    def _own(self, ref: SubAllocatorRef) -> SubAllocatorRef:
+        """The ref this allocator handed out that names the same
+        sub-allocator as ``ref``: ``ref`` itself, found by identity, or an
+        equal one, found by equality; raises for any other ref."""
+        if ref is self._plain or ref is self._purely_local:
+            return ref
+        owner = self._page_owner.get(ref.id)
+        if owner is ref:
+            return ref
+        for own in (owner, self._purely_local, self._plain):
+            if own == ref:
+                return own
         raise UsageError(f"unknown sub-allocator {ref}")
 
     # -- occupancy -------------------------------------------------------
 
     def allocated_bytes(self, ref: SubAllocatorRef) -> int:
         """Bytes live in ``ref``; only the tests read it, their window on the free lists."""
-        page = self._known(ref)
+        ref = self._own(ref)
         space = self._space
-        if page is not None:
-            return space.page_allocated_bytes(page)
-        if ref.kind is Kind.PURELY_LOCAL:
+        if ref is self._purely_local:
             return space.purely_local_allocated_bytes
-        return sum(map(space.page_allocated_bytes, self._plain_pool.pages))
+        if ref is self._plain:
+            return sum(map(space.page_allocated_bytes, self._plain_pool.pages))
+        return space.page_allocated_bytes(ref.id)
 
     def occupancy(self, ref: SubAllocatorRef) -> float:
         """Share of ``ref``'s capacity in use; the singletons' is for the tests."""
-        page = self._known(ref)
+        ref = self._own(ref)
         space = self._space
-        if page is not None:
-            return space.page_allocated_bytes(page) / space.cfg.page_size_bytes
-        if ref.kind is Kind.SWAPPABLE_PLAIN:
+        if ref is self._plain:
             return 0.0   # unbounded: occupancy is defined as zero
-        cap = space.cfg.purely_local_capacity_bytes
-        if cap == 0:
-            return 1.0
-        return space.purely_local_allocated_bytes / cap
+        if ref is self._purely_local:
+            cap = space.cfg.purely_local_capacity_bytes
+            return space.purely_local_allocated_bytes / cap if cap else 1.0
+        return space.page_allocated_bytes(ref.id) / space.cfg.page_size_bytes
 
     def is_occupancy_under(self, ref: SubAllocatorRef, ratio: float) -> bool:
         if not 0.0 <= ratio <= 1.0:
@@ -261,24 +265,25 @@ class CollectiveAllocator:
     # -- allocation ------------------------------------------------------
 
     def sub_allocate(self, ref: SubAllocatorRef, count: int, layout: ObjectLayout) -> Handle:
-        page = self._known(ref)
+        ref = self._own(ref)
         total = _request_bytes(count, layout)
-        space = self._space
-        if ref.kind is Kind.PURELY_LOCAL:
-            return space.carve_purely_local(total)
-        _check_fits_page(space, total)
-        if page is None:
+        if ref is self._plain:
             return self._plain_pool.allocate(total)
-        return space.carve_in_page(page, total)
+        if ref is self._purely_local:
+            return self._space.carve_purely_local(total)
+        return self._space.carve_in_page(ref.id, total)   # checks the page size
 
     def deallocate(self, handle: Handle, count: int, layout: ObjectLayout) -> None:
         """Free a block previously returned by any of this allocator's
         sub-allocators; the owning sub-allocator is derived from the handle."""
-        ref = self.get_suballocator_by_handle(handle)
-        _check_free(self._space, handle, count, layout)
-        page = self._space.page_of(handle)
-        self._space.free(handle)
-        if ref.kind is Kind.SWAPPABLE_PLAIN:
+        space = self._space
+        page = space.page_of(handle)   # validates the handle
+        owner = self._purely_local if page is None else self._page_owner.get(page)
+        if owner is None:
+            raise UsageError(f"handle {handle:#x} is not managed by this allocator")
+        _check_free(space, handle, count, layout)
+        space.free(handle)
+        if owner is self._plain:
             self._plain_pool.refresh(page)
 
     def page_owner_map(self) -> dict[PageId, SubAllocatorRef]:
@@ -289,10 +294,12 @@ class CollectiveAllocator:
 class HintAllocator:
     """Baseline allocator whose only placement control is a hint handle.
 
-    With a hint on one of its pages it tries that page first; without one,
-    with a hint elsewhere, or when that page is full, it falls back to
-    first-fit over its pages and opens a new empty page only when none can
-    fit the request.  It frees only blocks on its own pages.
+    With a hint on one of its pages it takes that page when the page fits
+    the request; without one, with a hint elsewhere, or when that page
+    cannot fit, it falls back to first-fit over its pages and opens a new
+    empty page only when none can fit the request.  Whether the hint's page
+    fits is read from the pool's segment tree, so a miss costs no failed
+    carve.  It frees only blocks on its own pages.
     """
 
     def __init__(self, space: Space):
@@ -304,19 +311,8 @@ class HintAllocator:
         return self._space
 
     def allocate(self, count: int, layout: ObjectLayout, hint: Handle | None = None) -> Handle:
-        total = _request_bytes(count, layout)
-        _check_fits_page(self._space, total)
-        if hint:
-            page = self._space.page_of(hint)
-            if page in self._pool:
-                try:
-                    h = self._space.carve_in_page(page, total)
-                except CapacityExhausted:
-                    pass
-                else:
-                    self._pool.refresh(page)
-                    return h
-        return self._pool.allocate(total)
+        return self._pool.allocate(_request_bytes(count, layout),
+                                   self._space.page_of(hint) if hint else None)
 
     def deallocate(self, handle: Handle, count: int, layout: ObjectLayout) -> None:
         page = self._space.page_of(handle)   # validates the handle

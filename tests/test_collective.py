@@ -347,6 +347,62 @@ def test_hint_into_full_page_falls_back(make_space):
     assert halloc.space.block_size(h) == 512
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_hint_allocator_matches_a_byte_map_per_page(seed):
+    """Mixed hinted and unhinted allocations and frees: a hint onto one of
+    the allocator's pages that fits lands where first fit on that page puts
+    it; any other request, including a hint onto a full page, a foreign page
+    or the purely-local region, lands where first fit over its pages, oldest
+    first, puts it, and at the base of a new page when no page has room."""
+    rng = random.Random(seed)
+    page_size = 1024
+    space = Space(SpaceConfig(page_size, 4096))
+    halloc = HintAllocator(space)
+    oracles = {}        # page -> byte map, for the allocator's pages only
+    order = []          # the allocator's pages in creation order
+    live = []
+    foreign = [space.carve_purely_local(64)]
+    hinted_misses = 0
+    for _ in range(600):
+        op = rng.random()
+        if op < 0.3 and live:
+            h, n = live.pop(rng.randrange(len(live)))
+            halloc.deallocate(h, 1, ObjectLayout(n))
+            oracles[page_index(h, page_size)].free(h, n)
+            continue
+        if op < 0.33:
+            foreign.append(space.carve_in_page(space.create_page(), 64))
+            continue
+        size = rng.choice((16, 48, 200, 512, rng.randrange(1, page_size + 1)))
+        hint = None
+        if op < 0.8 and live:
+            hint = rng.choice(live)[0]
+        elif op < 0.9:
+            hint = rng.choice(foreign)
+        h = halloc.allocate(1, ObjectLayout(size), hint=hint)
+        want = None
+        if hint is not None and hint >= SWAP_BASE and page_index(hint, page_size) in oracles:
+            want = oracles[page_index(hint, page_size)].allocate(size)
+            hinted_misses += want is None
+        if want is None:
+            for page in order:
+                want = oracles[page].allocate(size)
+                if want is not None:
+                    break
+            else:
+                page = page_index(h, page_size)
+                assert page == space.num_pages - 1, "a new page must be a fresh one"
+                oracles[page] = ByteMapFirstFit(SWAP_BASE + page * page_size, page_size)
+                order.append(page)
+                want = oracles[page].allocate(size)
+        assert h == want
+        live.append((h, size))
+    assert hinted_misses > 10, "the run must hint onto pages that cannot fit"
+    for h, n in live:
+        halloc.deallocate(h, 1, ObjectLayout(n))
+    assert all(space.page_allocated_bytes(p) == 0 for p in order)
+
+
 # -- request errors, one table for both allocators ----------------------
 
 def _collective(space):
@@ -369,6 +425,12 @@ BAD_REQUESTS = {
     "wrong-size-free": lambda allocate, deallocate, h: deallocate(h, 1, L16),
     "count-0-free": lambda allocate, deallocate, h: deallocate(h, 0, L512),
 }
+
+
+@pytest.mark.parametrize("size", [0, -8])
+def test_a_layout_is_checked_when_it_is_built(size):
+    with pytest.raises(UsageError):
+        ObjectLayout(size)
 
 
 @pytest.mark.parametrize("bad", BAD_REQUESTS)

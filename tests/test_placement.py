@@ -9,9 +9,11 @@ a plain dict and every structural and placement invariant must hold.
 The purely-local carves of whole builds are counted too: a carve that
 cannot fit fails with ``CapacityExhausted``, and ``_place`` tries one only
 where the new node may join the purely-local prefix.  And a dropped build's
-nodes, whose links form reference cycles, go when the container goes.
+nodes, whose links form reference cycles, go when the container goes, and
+so does its space.
 """
 import gc
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -133,5 +135,22 @@ def test_a_dropped_container_frees_its_nodes_without_a_collection(variant):
         assert before >= count
         del container
         assert live_nodes() == before - count
+    finally:
+        gc.enable()
+
+
+# one variant per allocator and sub-allocator mix: plain pool only, plain
+# pool with per-page sub-allocators, purely-local region, hint allocator
+@pytest.mark.parametrize("variant", ["plain", "dfs", "local+dfs", "skip-local+page",
+                                     "hint"])
+def test_a_dropped_build_frees_its_space_without_a_collection(variant):
+    gc.collect()
+    gc.disable()
+    try:
+        container, space = _build(BenchConfig(variant=variant, total_data_bytes=64 * 1024,
+                                              l_percent=50, seed=0))
+        dead = weakref.ref(space)
+        del container, space
+        assert dead() is None
     finally:
         gc.enable()
