@@ -214,7 +214,9 @@ class CollectiveAllocator:
         raise UsageError(f"unknown sub-allocator kind: {kind!r}")
 
     def get_suballocator_by_handle(self, handle: Handle) -> SubAllocatorRef:
-        page = self._space.page_of(handle)   # validates the handle
+        return self._owner(handle, self._space.page_of(handle))   # validates the handle
+
+    def _owner(self, handle: Handle, page: PageId | None) -> SubAllocatorRef:
         owner = self._purely_local if page is None else self._page_owner.get(page)
         if owner is None:
             raise UsageError(f"handle {handle:#x} is not managed by this allocator")
@@ -278,9 +280,7 @@ class CollectiveAllocator:
         sub-allocators; the owning sub-allocator is derived from the handle."""
         space = self._space
         page = space.page_of(handle)   # validates the handle
-        owner = self._purely_local if page is None else self._page_owner.get(page)
-        if owner is None:
-            raise UsageError(f"handle {handle:#x} is not managed by this allocator")
+        owner = self._owner(handle, page)
         _check_free(space, handle, count, layout)
         space.free(handle)
         if owner is self._plain:
