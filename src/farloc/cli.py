@@ -14,8 +14,9 @@ another in this process; FARLOC_THREADS > 1 maps them over a process pool
 of at most one worker per group and per CPU this process may run on.
 Either way rows come back in sweep order.  When a key's cells are not
 contiguous in the sweep (a repeated ``--l-percent``), they still run
-together, so the cells run in group order, not sweep order.  The output
-paths, FARLOC_THREADS and every cell are checked before the first build.
+together, so the cells run in group order, not sweep order.  A cell is
+checked when ``parse_args`` builds it, and the output paths and
+FARLOC_THREADS are checked before the first build.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .farmem import ConfigError, FarlocError
@@ -36,24 +36,6 @@ SWAPS_HEADER = ["variant", "L_percent", "alpha", "update_ratio",
                 "page_size", "num_queries", "swap_ins", "write_backs"]
 LINKS_HEADER = ["variant", "L_percent", "purely_local_ratio",
                 "in_page_ratio", "cross_page_ratio"]
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    variants: tuple[str, ...]
-    l_percents: tuple[float, ...]
-    alphas: tuple[float, ...]
-    update_ratios: tuple[float, ...]
-    base: BenchConfig
-
-    def cells(self) -> list[BenchConfig]:
-        return [
-            replace(self.base, variant=v, l_percent=l, alpha=a, update_ratio=u)
-            for v in self.variants
-            for l in self.l_percents
-            for a in self.alphas
-            for u in self.update_ratios
-        ]
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -89,24 +71,23 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def parse_args(argv=None) -> tuple[SweepSpec, str, str]:
-    """(sweep, output path, report kind); exits 2 on bad flags."""
+def parse_args(argv=None) -> tuple[list[BenchConfig], str, str]:
+    """(cells, output path, report kind).  The cells are the sweep's, in
+    variant-major order, then L, skew and update ratio; each is built, and
+    so checked, for its own variant, and a bad one raises ConfigError.
+    Exits 2 on bad flags."""
     args = _parser().parse_args(argv)
-    base = BenchConfig(
-        total_data_bytes=args.data_bytes,
-        value_size_bytes=args.value_size,
-        num_queries=args.queries,
-        page_size_bytes=args.page_size,
-        seed=args.seed,
-    )
-    spec = SweepSpec(
-        variants=tuple(args.variant or ["plain"]),
-        l_percents=tuple(args.l_percent or [50.0]),
-        alphas=tuple(args.alpha or [0.8]),
-        update_ratios=tuple(args.update_ratio or [0.05]),
-        base=base,
-    )
-    return spec, args.out, args.report
+    cells = [
+        BenchConfig(variant=v, total_data_bytes=args.data_bytes,
+                    value_size_bytes=args.value_size, l_percent=l, alpha=a,
+                    update_ratio=u, num_queries=args.queries,
+                    page_size_bytes=args.page_size, seed=args.seed)
+        for v in args.variant or ["plain"]
+        for l in args.l_percent or [50.0]
+        for a in args.alpha or [0.8]
+        for u in args.update_ratio or [0.05]
+    ]
+    return cells, args.out, args.report
 
 
 def _run_cells(cells: list[BenchConfig]) -> list[BenchReport]:
@@ -124,17 +105,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[BenchReport]:
-    """One report per cell, in sweep order.  The cells are grouped by build
-    key and each group runs in one reuse scope, so each key is built once.
-    threads=None reads FARLOC_THREADS (default 1); below 1 is an error.  One
-    worker runs the groups in turn in this process, more map them over a
-    process pool.  The pool starts all its workers at once under fork, so it
-    never gets more workers than groups or CPUs this process may use.
-    Every cell is validated first."""
-    cells = spec.cells()
-    for cell in cells:
-        cell.validate()
+def run_sweep(cells: list[BenchConfig],
+              threads: int | None = None) -> list[BenchReport]:
+    """One report per cell, in the cells' order.  The cells are grouped by
+    build key and each group runs in one reuse scope, so each key is built
+    once.  threads=None reads FARLOC_THREADS (default 1); below 1 is an
+    error.  One worker runs the groups in turn in this process, more map
+    them over a process pool.  The pool starts all its workers at once under
+    fork, so it never gets more workers than groups or CPUs this process may
+    use."""
     raw = threads
     if threads is None:
         raw = os.environ.get("FARLOC_THREADS", "1") or "1"
@@ -186,10 +165,6 @@ def emit_links_csv(reports: list[BenchReport], out) -> None:
                     f"{r.links.cross_page_ratio:.6f}"])
 
 
-def _links_path(out_path: Path) -> Path:
-    return out_path.with_name(out_path.stem + "_links" + (out_path.suffix or ".csv"))
-
-
 def _check_out_path(path: Path) -> None:
     try:
         # the file is opened through any symlink, so check where it leads
@@ -204,35 +179,33 @@ def _check_out_path(path: Path) -> None:
         raise ConfigError(f"output directory {path.parent} is not writable")
 
 
-def _write_reports(reports: list[BenchReport], out_path: str, report: str) -> None:
+def _outputs(out_path: str, report: str) -> list[tuple]:
+    """(path, or None for stdout; emitter) of each report to write.  The
+    swaps or the links report alone goes to ``--out``; ``both`` writes the
+    links to ``<stem>_links<suffix>`` beside the swaps.  The emitters are
+    looked up at each call, so one patched on the module is the one used."""
+    emitters = {"swaps": [emit_swaps_csv], "links": [emit_links_csv],
+                "both": [emit_swaps_csv, emit_links_csv]}[report]
     if out_path == "-":
-        if report in ("swaps", "both"):
-            emit_swaps_csv(reports, sys.stdout)
-        if report in ("links", "both"):
-            emit_links_csv(reports, sys.stdout)
-        return
+        return [(None, emit) for emit in emitters]
     path = Path(out_path)
-    if report == "links":
-        with path.open("w", newline="") as f:
-            emit_links_csv(reports, f)
-        return
-    with path.open("w", newline="") as f:
-        emit_swaps_csv(reports, f)
-    if report == "both":
-        with _links_path(path).open("w", newline="") as f:
-            emit_links_csv(reports, f)
+    links = path.with_name(path.stem + "_links" + (path.suffix or ".csv"))
+    return list(zip([path, links], emitters))
 
 
 def main(argv=None) -> int:
-    spec, out_path, report = parse_args(argv)
     try:
-        if out_path != "-":
-            _check_out_path(Path(out_path))
-            if report == "both":
-                _check_out_path(_links_path(Path(out_path)))
-        reports = run_sweep(spec)
+        cells, out_path, report = parse_args(argv)
+        outputs = _outputs(out_path, report)
+        for path, _ in outputs:
+            if path:
+                _check_out_path(path)
+        reports = run_sweep(cells)
         try:
-            _write_reports(reports, out_path, report)
+            for path, emit in outputs:
+                with (path.open("w", newline="") if path
+                      else nullcontext(sys.stdout)) as f:
+                    emit(reports, f)
         except OSError as exc:
             raise FarlocError(f"cannot write the output: {exc}") from None
     except (FarlocError, MemoryError) as exc:

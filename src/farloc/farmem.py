@@ -56,11 +56,13 @@ class UsageError(FarlocError):
 
 @dataclass(frozen=True)
 class SpaceConfig:
+    """Building an invalid config raises :class:`ConfigError`."""
+
     page_size_bytes: int = 4096
     purely_local_capacity_bytes: int = 0
     cache_capacity_pages: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         p = self.page_size_bytes
         if p < 256 or p & (p - 1):
             raise ConfigError(f"page size must be a power of two >= 256, got {p}")
@@ -219,7 +221,6 @@ class Space:
     """One simulated address space: regions, blocks, residency, statistics."""
 
     def __init__(self, cfg: SpaceConfig):
-        cfg.validate()
         self.cfg = cfg
         self._page_size = cfg.page_size_bytes
         self._page_shift = cfg.page_size_bytes.bit_length() - 1
@@ -439,7 +440,7 @@ def replay_trace(trace, cache_pages: int) -> SwapStats:
     statistics, which under strict LRU depend on nothing but the trace and
     the capacity: one trace of a run serves every cache size.
     """
-    SpaceConfig(cache_capacity_pages=cache_pages).validate()
+    SpaceConfig(cache_capacity_pages=cache_pages)   # checks the capacity
     res: OrderedDict[int, int] = OrderedDict()    # page -> dirty
     last = -1
     ins = wb = 0

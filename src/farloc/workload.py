@@ -121,6 +121,8 @@ def variant_uses_local(name: str) -> bool:
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """One sweep cell; building an invalid one raises :class:`ConfigError`."""
+
     variant: str = "plain"
     total_data_bytes: int = 16 * 1024 * 1024
     value_size_bytes: int = 150
@@ -140,7 +142,7 @@ class BenchConfig:
     def num_pairs(self) -> int:
         return self.total_data_bytes // self.pair_size_bytes
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.value_size_bytes < 1:
@@ -157,7 +159,7 @@ class BenchConfig:
                 f"{self.total_data_bytes} data bytes hold {self.num_pairs} "
                 f"{self.pair_size_bytes}-byte pairs; a {family} needs at "
                 f"least {least}")
-        SpaceConfig(self.page_size_bytes).validate()
+        SpaceConfig(self.page_size_bytes)   # checks the page size
         # the largest node a build can carve must fit one page: every
         # B-tree node, and a skip-list tower of the tallest drawable level
         value_slot = self.pair_size_bytes - 8
@@ -172,7 +174,7 @@ class BenchConfig:
                 f"local budget must be a finite value > 0 %, got {self.l_percent}")
         if not math.isfinite(self.total_data_bytes * self.l_percent):
             raise ConfigError(f"local budget of {self.l_percent} % is too large")
-        SpaceConfig(self.page_size_bytes, *local_budget(self)).validate()
+        SpaceConfig(self.page_size_bytes, *local_budget(self))   # and L's split
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigError(f"skew must be a finite value >= 0, got {self.alpha}")
         # the range test rejects nan as well
@@ -246,9 +248,8 @@ class PlacementReuse:
     its report (:meth:`report`).
 
     The plan is the cells the caller is about to run inside the scope, in
-    any order; each is validated before the scope reads it.  A plan with
-    cells of two build keys, or a call for a cell outside the plan, raises
-    :class:`UsageError`.
+    any order.  A plan with cells of two build keys, or a call for a cell
+    outside the plan, raises :class:`UsageError`.
 
     The first call builds at its own cache size, the build's cache, and
     every query run happens on that space at that cache.  When the plan has
@@ -274,8 +275,6 @@ class PlacementReuse:
 
     def __init__(self, cells):
         cells = list(cells)
-        for c in cells:
-            c.validate()
         entries = [_plan_entry(c) for c in cells]
         if len({key for key, _, _ in entries}) > 1:
             raise UsageError("a reuse scope serves the cells of one build key")
@@ -347,10 +346,9 @@ def build_placement(cfg: BenchConfig):
     the batch rearrangement run when the variant has one.  Returns
     (container, space).  Inside a :class:`PlacementReuse` scope, the scope
     gives the placement: built on the first call, the same one with its
-    values restored on later ones; the scope validated its plan."""
+    values restored on later ones."""
     reuse = _active_reuse.get()
     if reuse is None:
-        cfg.validate()
         return _build(cfg)
     return reuse.placement(cfg)
 
@@ -401,7 +399,6 @@ def query_script(cfg: BenchConfig) -> list[QueryOp]:
     """Deterministic measurement-phase script.  Keys are Zipf ranks hashed
     into the inserted key set; kinds and scan lengths are drawn up front so
     they do not depend on the update ratio's effect on stream consumption."""
-    cfg.validate()
     _, key_seed, mix_seed, upd_seed = _streams(cfg.seed)
     nq = cfg.num_queries
     ranks = ZipfSampler(cfg.num_pairs, cfg.alpha).sample(

@@ -4,10 +4,21 @@ Everything here is written for obviousness, not speed: the naive LRU keeps a
 plain list, the allocator oracle marks individual bytes.  They share no code
 with the package under test, except ``fresh_report``, which runs the
 package's build, census and query run without its reuse scope.
+``sweep_cells`` builds a sweep's cells in the order the CLI gives them.
 """
+from dataclasses import replace
+
 from farloc import workload
 from farloc.farmem import SWAP_BASE
 from farloc.metrics import link_composition
+
+
+def sweep_cells(base, variants, l_percents, alphas=(0.8,), update_ratios=(0.05,)):
+    """The cells of a sweep over these axes, each ``base`` with its axes
+    replaced, in the variant-major order ``cli.parse_args`` gives."""
+    return [replace(base, variant=v, l_percent=l, alpha=a, update_ratio=u)
+            for v in variants for l in l_percents
+            for a in alphas for u in update_ratios]
 
 
 def fresh_report(cfg):

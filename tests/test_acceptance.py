@@ -37,7 +37,7 @@ from farloc.farmem import Space, SpaceConfig
 from farloc.metrics import link_composition
 from farloc.workload import (VARIANTS, BenchConfig, local_budget,
                              placement_keys, variant_uses_local)
-from reference_models import NaiveLru, fresh_report
+from reference_models import NaiveLru, fresh_report, sweep_cells
 
 BASE = BenchConfig()
 L_SWEEP = (5.0, 10.0, 25.0, 50.0, 100.0, 200.0)
@@ -100,9 +100,9 @@ class SweepLab:
 
     def _sweep(self, variant):
         full = variant in SWEPT
-        spec = cli.SweepSpec((variant,), LAB_L if full else (50.0,),
-                             ALPHAS if full else (0.8,),
-                             UPDATE_RATIOS if full else (0.05,), BASE)
+        cells = sweep_cells(BASE, (variant,), LAB_L if full else (50.0,),
+                            ALPHAS if full else (0.8,),
+                            UPDATE_RATIOS if full else (0.05,))
         real_build = workload._build
 
         def noting_build(cfg, trace=None):
@@ -112,7 +112,7 @@ class SweepLab:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(workload, "_build", noting_build)
-            reports = cli.run_sweep(spec, threads=1)
+            reports = cli.run_sweep(cells, threads=1)
         for r in reports:
             c = r.config
             self._reports[(c.variant, c.l_percent, c.alpha, c.update_ratio)] = r

@@ -10,8 +10,7 @@ import re
 import pytest
 
 from farloc import cli, workload
-from farloc.cli import (LINKS_HEADER, SWAPS_HEADER, SweepSpec, main,
-                        parse_args, run_sweep)
+from farloc.cli import LINKS_HEADER, SWAPS_HEADER, main, parse_args, run_sweep
 from farloc.workload import BenchConfig
 
 TINY = ["--data-bytes", "160000", "--queries", "200"]
@@ -25,20 +24,16 @@ def read_csv(path):
 # -- argument parsing ----------------------------------------------------
 
 def test_defaults():
-    spec, out, report = parse_args([])
-    assert spec.variants == ("plain",)
-    assert spec.l_percents == (50.0,)
-    assert spec.alphas == (0.8,)
-    assert spec.update_ratios == (0.05,)
-    assert spec.base == BenchConfig()
+    cells, out, report = parse_args([])
+    # plain, L=50, skew 0.8 and update ratio 0.05, and the default sizes
+    assert cells == [BenchConfig()]
     assert (out, report) == ("-", "swaps")
 
 
 def test_repeatable_axes_multiply_cells():
-    spec, _, _ = parse_args(["--variant", "plain", "--variant", "local",
-                             "--l-percent", "5", "--l-percent", "50",
-                             "--alpha", "0.8", "--alpha", "1.3"])
-    cells = spec.cells()
+    cells, _, _ = parse_args(["--variant", "plain", "--variant", "local",
+                              "--l-percent", "5", "--l-percent", "50",
+                              "--alpha", "0.8", "--alpha", "1.3"])
     assert len(cells) == 8
     # variant-major order, then L, then alpha
     assert [(c.variant, c.l_percent, c.alpha) for c in cells[:4]] == [
@@ -60,10 +55,9 @@ def test_bad_flags_exit_2():
 
 
 def test_numeric_flags_reach_the_config():
-    spec, _, _ = parse_args(["--data-bytes", "320000", "--value-size", "64",
+    (b,), _, _ = parse_args(["--data-bytes", "320000", "--value-size", "64",
                              "--page-size", "8192", "--queries", "7",
                              "--seed", "3"])
-    b = spec.base
     assert (b.total_data_bytes, b.value_size_bytes, b.page_size_bytes,
             b.num_queries, b.seed) == (320000, 64, 8192, 7, 3)
 
@@ -71,9 +65,9 @@ def test_numeric_flags_reach_the_config():
 # -- sweep execution -----------------------------------------------------
 
 def test_run_sweep_returns_reports_in_sweep_order():
-    spec, _, _ = parse_args(TINY + ["--variant", "plain",
-                                    "--l-percent", "5", "--l-percent", "50"])
-    reports = run_sweep(spec)
+    cells, _, _ = parse_args(TINY + ["--variant", "plain",
+                                     "--l-percent", "5", "--l-percent", "50"])
+    reports = run_sweep(cells)
     assert [r.config.l_percent for r in reports] == [5.0, 50.0]
     assert reports[0].measurement_stats.swap_ins >= \
         reports[1].measurement_stats.swap_ins
@@ -212,6 +206,23 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         assert not (tmp_path / "x.csv").exists()
 
 
+def test_each_cell_is_checked_against_its_own_variant(tmp_path):
+    """A skip-list cell is built as a skip list, never checked as a plain
+    B-tree first: these sizes suit a skip list and not a B-tree."""
+    out = tmp_path / "r.csv"
+    for sizes in (["--data-bytes", "320"],    # 2 pairs; a B-tree needs 5
+                  # the tallest tower takes 2 192 B, a B-tree node 8 104 B
+                  ["--data-bytes", "65536", "--value-size", "2000"]):
+        args = sizes + ["--queries", "5", "--out", str(out)]
+        assert main(["--variant", "skip-plain"] + args) == 0, sizes
+        rows = read_csv(out)
+        assert rows[0] == SWAPS_HEADER and len(rows) == 2, sizes
+        assert rows[1][0] == "skip-plain", sizes
+    out.unlink()
+    assert main(["--variant", "plain"] + args) == 1
+    assert not out.exists()
+
+
 def test_bad_output_paths_fail_before_any_build(tmp_path, capsys, monkeypatch):
     def no_build(cfg):
         raise AssertionError("a cell was built before the output path was checked")
@@ -333,12 +344,12 @@ def test_process_pool_is_bounded(monkeypatch, threads, n_groups, per_group, cpus
     monkeypatch.setattr(cli, "run_benchmark", lambda cfg: cfg)
     set_cpus(monkeypatch, cpus, affinity)
     # L changes local's placement, alpha does not
-    spec, _, _ = parse_args(
+    cells, _, _ = parse_args(
         ["--variant", "local"]
         + [x for i in range(n_groups) for x in ("--l-percent", str(i + 1))]
         + [x for i in range(per_group) for x in ("--alpha", str(i + 1))])
     monkeypatch.setenv("FARLOC_THREADS", str(threads))
-    assert run_sweep(spec) == spec.cells()
+    assert run_sweep(cells) == cells
     assert RecordingPool.sizes == ([] if pool is None else [pool])
 
 
@@ -348,9 +359,9 @@ def test_pool_rows_follow_sweep_order_when_groups_interleave(monkeypatch):
     monkeypatch.setattr(cli, "run_benchmark", lambda cfg: cfg)
     set_cpus(monkeypatch, 4)
     # a repeated L puts one placement's cells on both sides of another's
-    spec, _, _ = parse_args(["--variant", "local",
-                             "--l-percent", "1", "--l-percent", "2",
-                             "--l-percent", "1", "--alpha", "1", "--alpha", "2"])
+    cells, _, _ = parse_args(["--variant", "local",
+                              "--l-percent", "1", "--l-percent", "2",
+                              "--l-percent", "1", "--alpha", "1", "--alpha", "2"])
     monkeypatch.setenv("FARLOC_THREADS", "4")
-    assert run_sweep(spec) == spec.cells()
+    assert run_sweep(cells) == cells
     assert RecordingPool.sizes == [2]

@@ -27,14 +27,14 @@ from reference_models import ByteMapFirstFit, NaiveLru, ReplayLru, page_index
 @pytest.mark.parametrize("page", [0, 1, 100, 255, 4095, 6000])
 def test_rejects_bad_page_sizes(page):
     with pytest.raises(ConfigError):
-        SpaceConfig(page_size_bytes=page).validate()
+        SpaceConfig(page_size_bytes=page)
 
 
 def test_rejects_negative_capacities():
     with pytest.raises(ConfigError):
-        SpaceConfig(purely_local_capacity_bytes=-1).validate()
+        SpaceConfig(purely_local_capacity_bytes=-1)
     with pytest.raises(ConfigError):
-        SpaceConfig(cache_capacity_pages=-1).validate()
+        SpaceConfig(cache_capacity_pages=-1)
 
 
 def test_page_size_is_the_swap_unit(make_space):

@@ -16,8 +16,8 @@ share a build key in one scope, and ``run_benchmark`` outside a scope
 runs its cell in a scope of its own, so every cell goes through the scope.
 Every test here compares against ``reference_models.fresh_report``, which
 builds afresh and runs the queries for every call without any scope, so
-reuse must be invisible in everything a cell reports.  A scope validates
-its plan, and refuses a bad cell with ``ConfigError``.
+reuse must be invisible in everything a cell reports.  A bad cell is a
+``ConfigError`` when it is built, so no plan can hold one.
 """
 import gc
 import hashlib
@@ -39,7 +39,7 @@ from farloc.farmem import (ConfigError, Space, SpaceConfig, SwapStats,
 from farloc.workload import (VARIANTS, BenchConfig, PlacementReuse,
                              build_key, build_placement, local_budget,
                              query_script, run_benchmark, run_queries)
-from reference_models import NaiveLru, ReplayLru, fresh_report
+from reference_models import NaiveLru, ReplayLru, fresh_report, sweep_cells
 
 BASE = BenchConfig(total_data_bytes=64 * 1024, l_percent=25.0,
                    num_queries=200, seed=2)
@@ -52,8 +52,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def grid(variant, l_percents=(25.0,)):
     """2 alphas x 2 update ratios per L."""
-    return [replace(BASE, variant=variant, l_percent=l, alpha=a, update_ratio=u)
-            for l in l_percents for a in (0.8, 1.3) for u in (0.05, 0.5)]
+    return sweep_cells(BASE, (variant,), l_percents, (0.8, 1.3), (0.05, 0.5))
 
 
 def per_key(cells):
@@ -94,8 +93,7 @@ def test_scoped_sweep_reports_equal_per_cell_runs(variant):
             for c in reversed(group):
                 reused[c] = run_benchmark(c)
     assert [reused[c] for c in cells] == fresh
-    spec = cli.SweepSpec((variant,), L_MIXED, (0.8, 1.3), (0.05, 0.5), BASE)
-    assert cli.run_sweep(spec, threads=1) == fresh
+    assert cli.run_sweep(cells, threads=1) == fresh
 
 
 class _Digest:
@@ -237,9 +235,8 @@ def test_a_pooled_variant_builds_once_across_l(monkeypatch):
     built = spy_builds(monkeypatch)
     for variant, builds in (("plain", 1), ("local", 3)):
         built.clear()
-        spec = cli.SweepSpec((variant,), (10.0, 25.0, 50.0), (0.8,), (0.05,),
-                             BASE)
-        cli.run_sweep(spec, threads=1)
+        cli.run_sweep(sweep_cells(BASE, (variant,), (10.0, 25.0, 50.0)),
+                      threads=1)
         assert len(built) == builds, variant
 
 
@@ -254,9 +251,8 @@ def test_queries_run_once_per_placement_and_mix(monkeypatch):
                                         ("local", 12, 3)):
         runs.clear()
         taken.clear()
-        spec = cli.SweepSpec((variant,), (10.0, 25.0, 50.0), (0.8, 1.3),
-                             (0.05, 0.5), BASE)
-        cli.run_sweep(spec, threads=1)
+        cli.run_sweep(sweep_cells(BASE, (variant,), (10.0, 25.0, 50.0),
+                                  (0.8, 1.3), (0.05, 0.5)), threads=1)
         assert (len(runs), len(taken)) == (n_runs, n_censuses), variant
 
 
@@ -333,28 +329,26 @@ def test_a_scope_serves_its_plan_of_one_key_and_refuses_other_cells(monkeypatch)
 
 
 @pytest.mark.parametrize("bad", [
-    replace(BASE, variant="nope"), replace(BASE, l_percent=float("nan")),
-    replace(BASE, l_percent=0.0)], ids=["variant", "l-nan", "l-zero"])
+    dict(variant="nope"), dict(l_percent=float("nan")), dict(l_percent=0.0)],
+    ids=["variant", "l-nan", "l-zero"])
 def test_a_bad_cell_is_a_config_error_in_a_plan_and_outside_a_scope(
         bad, monkeypatch):
+    """A bad cell raises where it is built, so it can enter no plan and
+    run in no scope, and nothing is built."""
     built = spy_builds(monkeypatch)
-    for plan in ([bad], [BASE, bad]):
-        with pytest.raises(ConfigError):
-            PlacementReuse(plan)
     with pytest.raises(ConfigError):
-        run_benchmark(bad)
+        replace(BASE, **bad)
     assert built == []
 
 
 def test_serial_sweep_builds_each_key_once_and_holds_one_placement(monkeypatch):
     # the third L repeats the first: local's key's cells are not contiguous
-    spec = cli.SweepSpec(("plain", "local"), (10.0, 50.0, 10.0), (0.8,),
-                         (0.05, 0.5), BASE)
-    cells = spec.cells()
+    cells = sweep_cells(BASE, ("plain", "local"), (10.0, 50.0, 10.0), (0.8,),
+                        (0.05, 0.5))
     fresh = [fresh_report(c) for c in cells]
-    pooled = cli.run_sweep(spec, threads=2)
+    pooled = cli.run_sweep(cells, threads=2)
     built = spy_builds(monkeypatch)
-    serial = cli.run_sweep(spec, threads=1)
+    serial = cli.run_sweep(cells, threads=1)
     assert [k for k, _ in built] == list(dict.fromkeys(map(build_key, cells)))
     assert len(built) == 3
     assert [r.config for r in serial] == cells
@@ -498,7 +492,7 @@ def _sweep_matches_the_recorded_fingerprints(monkeypatch, name):
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
     wl = workloads.WORKLOADS[name]
-    sweep, _, _ = cli.parse_args(wl.farloc_args(0, "-"))
+    cells, _, _ = cli.parse_args(wl.farloc_args(0, "-"))
     recorded = json.loads((PERFBENCH / "fingerprints.json").read_text())
     want = [fp[:8] for fp in recorded[name]["0"]]
     built = spy_builds(monkeypatch)
@@ -506,7 +500,7 @@ def _sweep_matches_the_recorded_fingerprints(monkeypatch, name):
     runs = spy_queries(monkeypatch)
     replayed = spy_replays(monkeypatch)
     got = []
-    for r in cli.run_sweep(sweep, threads=1):
+    for r in cli.run_sweep(cells, threads=1):
         c, links = r.config, r.links
         got.append([f"{c.variant}/{c.l_percent:g}/{c.alpha:g}/{c.update_ratio:g}",
                     r.placement_stats.swap_ins, r.placement_stats.write_backs,

@@ -103,7 +103,7 @@ def test_pair_arithmetic():
 
 
 def test_config_validation():
-    BenchConfig().validate()
+    BenchConfig()
     for bad in (dict(variant="nope"), dict(value_size_bytes=0),
                 dict(total_data_bytes=8), dict(l_percent=0.0),
                 # one node holds every pair: there are no links to census
@@ -131,14 +131,14 @@ def test_config_validation():
                 # more values or queries than one numpy array can hold
                 dict(num_queries=10**20), dict(total_data_bytes=10**20)):
         with pytest.raises(ConfigError):
-            BenchConfig(**bad).validate()
+            BenchConfig(**bad)
     # the fewest pairs that give a link: ORDER for a B-tree, 2 for a skip list
-    BenchConfig(variant="plain", total_data_bytes=800).validate()
-    BenchConfig(variant="skip-plain", total_data_bytes=320).validate()
+    BenchConfig(variant="plain", total_data_bytes=800)
+    BenchConfig(variant="skip-plain", total_data_bytes=320)
     # a level-20 tower takes 344 bytes: it fits a 512-byte page
-    BenchConfig(variant="skip-plain", page_size_bytes=512).validate()
+    BenchConfig(variant="skip-plain", page_size_bytes=512)
     # without a purely-local region all of L is page cache, which is unbounded
-    BenchConfig(variant="plain", l_percent=1e15).validate()
+    BenchConfig(variant="plain", l_percent=1e15)
 
 
 def test_local_budget_split():
