@@ -34,7 +34,8 @@ from ..collective import CollectiveAllocator, HintAllocator, Kind
 from ..farmem import CapacityExhausted, ConfigError, Handle, UsageError
 
 # A batch rearrangement moves to a fresh per-page sub-allocator once the
-# current one's occupancy reaches this fraction of the page.
+# current one's occupancy reaches this fraction of the page, or sooner when
+# the node it moves does not fit.
 OCCUPANCY_LIMIT = 0.7
 
 
@@ -242,8 +243,9 @@ class _Destinations:
 
     Under the collective allocator: into per-page sub-allocators, listed in
     ``created``, opening a fresh one once the current one's occupancy
-    reaches ``OCCUPANCY_LIMIT``.  Under the hint allocator: onto the page of
-    the node moved just before, the only control that allocator offers.
+    reaches ``OCCUPANCY_LIMIT`` or the node does not fit it.  Under the
+    hint allocator: onto the page of the node moved just before, the only
+    control that allocator offers.
     """
 
     def __init__(self, alloc, halloc):
@@ -263,6 +265,10 @@ class _Destinations:
         if self._halloc is not None:
             self._last = self._halloc.allocate(1, layout, self._last or None)
             return self._last
-        if not self._alloc.is_occupancy_under(self._page, OCCUPANCY_LIMIT):
-            self._page = self._fresh()
+        if self._alloc.is_occupancy_under(self._page, OCCUPANCY_LIMIT):
+            try:
+                return self._alloc.sub_allocate(self._page, 1, layout)
+            except CapacityExhausted:
+                pass    # a page under the limit can still lack room for a large node
+        self._page = self._fresh()
         return self._alloc.sub_allocate(self._page, 1, layout)

@@ -22,6 +22,7 @@ straddles a page boundary.
 """
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -80,32 +81,55 @@ class SwapStats:
     write_backs: int = 0
 
 
+# A free list of more extents than this scans for a fit in one numpy
+# predicate, a shorter one in a Python loop.  A probe that reads every extent
+# costs the same both ways at 48-64 extents (1.5-1.8 us on a 2-core VM); a
+# loop that stops early favours the loop, so the switch sits at the top.
+SCAN_EXTENTS = 64
+
+
 class FreeList:
     """First-fit free list over one contiguous range, coalescing on free.
 
     The address-ordered extents are the only record of the range's free
-    space: its largest extent and its free bytes are read from them.
+    space: its largest extent and its free bytes are read from them.  The
+    starts are a list, which ``bisect_right`` searches fast; the sizes are
+    an ``array('q')``, so a long list scans them as one numpy view.  A page
+    holds a few extents, but a long-lived purely-local region fragments
+    into thousands (a 16 MiB ``skip-local`` build at L=50 averages 3 674
+    per carve), and there the per-extent cost of a Python loop dominates.
     """
 
     __slots__ = ("_starts", "_sizes")
 
     def __init__(self, start: int, size: int):
         self._starts: list[int] = [start] if size else []
-        self._sizes: list[int] = [size] if size else []
+        self._sizes = array("q", [size] if size else [])
 
     def allocate(self, size: int) -> int | None:
         starts, sizes = self._starts, self._sizes
-        for i, avail in enumerate(sizes):
-            if size <= avail:
-                start = starts[i]
-                if size < avail:
-                    starts[i] = start + size
-                    sizes[i] = avail - size
-                else:
-                    del starts[i]
-                    del sizes[i]
-                return start
-        return None
+        if len(sizes) > SCAN_EXTENTS:
+            # the mask's method, not np.argmax: it skips a Python-level
+            # dispatch.  The view is gone before ``del sizes[i]``, which a
+            # live view of the array would refuse.
+            i = int((np.frombuffer(sizes, np.int64) >= size).argmax())
+            avail = sizes[i]
+            if avail < size:
+                return None     # argmax of an all-False mask is 0
+        else:
+            for i, avail in enumerate(sizes):
+                if size <= avail:
+                    break
+            else:
+                return None
+        start = starts[i]
+        if size < avail:
+            starts[i] = start + size
+            sizes[i] = avail - size
+        else:
+            del starts[i]
+            del sizes[i]
+        return start
 
     def free(self, start: int, size: int) -> None:
         starts, sizes = self._starts, self._sizes
@@ -125,96 +149,13 @@ class FreeList:
             sizes.insert(i, size)
 
     def max_free(self) -> int:
-        return max(self._sizes, default=0)
+        # not max(..., default=0), which costs about twice as much, and
+        # _PagePool reads this after every carve and free of a page
+        sizes = self._sizes
+        return max(sizes) if sizes else 0
 
     def free_bytes(self) -> int:
         return sum(self._sizes)
-
-
-class _ArrayFreeList:
-    """Address-ordered first-fit free list on numpy arrays.
-
-    Same discipline and observable behavior as :class:`FreeList`; the fit
-    scan runs as one vectorized predicate instead of a Python loop.  Only
-    the purely-local region uses it: a long-lived region fragments into
-    thousands of extents once small residues accumulate, and the per-extent
-    interpreter cost of the list variant dominates there.  Measured on a
-    2-core VM, a 16 MiB ``skip-local`` build at L=50 averages 3 674 extents
-    per carve and takes 5.8-6.7 s on this class against 14.0-14.6 s on
-    :class:`FreeList`.  At the benchmark's sizes (at most 466 extents) the
-    two are within noise of each other.  Pages stay on :class:`FreeList`:
-    a page holds a few dozen blocks at most, and these arrays on pages made
-    builds 18-87 % slower.
-    """
-
-    __slots__ = ("_starts", "_sizes", "_n")
-
-    def __init__(self, start: int, size: int):
-        self._starts = np.empty(16, dtype=np.int64)
-        self._sizes = np.empty(16, dtype=np.int64)
-        self._n = 0
-        if size:
-            self._starts[0] = start
-            self._sizes[0] = size
-            self._n = 1
-
-    def _shift_in(self, i: int, start: int, size: int) -> None:
-        n = self._n
-        if n == len(self._starts):
-            grown = np.empty(2 * n, dtype=np.int64)
-            grown[:n] = self._starts
-            self._starts = grown
-            grown = np.empty(2 * n, dtype=np.int64)
-            grown[:n] = self._sizes
-            self._sizes = grown
-        self._starts[i + 1:n + 1] = self._starts[i:n]
-        self._sizes[i + 1:n + 1] = self._sizes[i:n]
-        self._starts[i] = start
-        self._sizes[i] = size
-        self._n = n + 1
-
-    def _shift_out(self, i: int) -> None:
-        n = self._n
-        self._starts[i:n - 1] = self._starts[i + 1:n]
-        self._sizes[i:n - 1] = self._sizes[i + 1:n]
-        self._n = n - 1
-
-    def allocate(self, size: int) -> int | None:
-        n = self._n
-        if not n:
-            return None
-        # the method, not np.argmax: it skips a Python-level dispatch, and
-        # the local variants run this for many carves that cannot fit
-        i = int((self._sizes[:n] >= size).argmax())
-        avail = int(self._sizes[i])
-        if avail < size:
-            return None     # argmax of an all-False mask is 0
-        start = int(self._starts[i])
-        if size < avail:
-            self._starts[i] = start + size
-            self._sizes[i] = avail - size
-        else:
-            self._shift_out(i)
-        return start
-
-    def free(self, start: int, size: int) -> None:
-        n = self._n
-        starts = self._starts
-        sizes = self._sizes
-        i = int(np.searchsorted(starts[:n], start, side="right"))
-        if i and int(starts[i - 1]) + int(sizes[i - 1]) == start:
-            sizes[i - 1] += size
-            if i < n and int(starts[i]) == start + size:
-                sizes[i - 1] += sizes[i]
-                self._shift_out(i)
-        elif i < n and int(starts[i]) == start + size:
-            starts[i] = start
-            sizes[i] += size
-        else:
-            self._shift_in(i, start, size)
-
-    def free_bytes(self) -> int:
-        return int(self._sizes[:self._n].sum())
 
 
 class Space:
@@ -226,7 +167,7 @@ class Space:
         self._page_shift = cfg.page_size_bytes.bit_length() - 1
         self._cache_cap = cfg.cache_capacity_pages
         self._blocks: dict[int, int] = {}            # handle -> block size
-        self._local_free = _ArrayFreeList(LOCAL_BASE, cfg.purely_local_capacity_bytes)
+        self._local_free = FreeList(LOCAL_BASE, cfg.purely_local_capacity_bytes)
         self._pages: list[FreeList] = []
         self._resident: OrderedDict[int, bool] = OrderedDict()   # page -> dirty
         self._swap_ins = 0

@@ -97,20 +97,12 @@ class ZipfSampler:
         return np.searchsorted(self._cdf, u, side="right") + 1
 
 
-# name -> (container class, variant); the class names its local and hint variants
+# name -> (container class, variant); the class names its local and hint
+# variants.  A B-tree variant's name is its enum value, a skip list's the
+# value after "skip-".
 VARIANTS: dict[str, tuple[type, object]] = {
-    "plain": (BTree, BTreeVariant.PLAIN),
-    "hint": (BTree, BTreeVariant.HINT),
-    "local": (BTree, BTreeVariant.LOCAL),
-    "dfs": (BTree, BTreeVariant.DFS),
-    "local+dfs": (BTree, BTreeVariant.LOCAL_DFS),
-    "veb": (BTree, BTreeVariant.VEB),
-    "local+veb": (BTree, BTreeVariant.LOCAL_VEB),
-    "skip-plain": (SkipList, SkipListVariant.PLAIN),
-    "skip-hint": (SkipList, SkipListVariant.HINT),
-    "skip-local": (SkipList, SkipListVariant.LOCAL),
-    "skip-page": (SkipList, SkipListVariant.PAGE),
-    "skip-local+page": (SkipList, SkipListVariant.LOCAL_PAGE),
+    **{v.value: (BTree, v) for v in BTreeVariant},
+    **{f"skip-{v.value}": (SkipList, v) for v in SkipListVariant},
 }
 
 

@@ -1,5 +1,6 @@
 """Address space: carving, first-fit reuse, LRU swap accounting, tracing."""
 import random
+import re
 from array import array
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from farloc.farmem import (
     LOCAL_BASE,
+    SCAN_EXTENTS,
     SWAP_BASE,
     CapacityExhausted,
     ConfigError,
@@ -16,7 +18,6 @@ from farloc.farmem import (
     SpaceConfig,
     SwapStats,
     UsageError,
-    _ArrayFreeList,
     replay_trace,
 )
 from reference_models import ByteMapFirstFit, NaiveLru, ReplayLru, page_index
@@ -159,25 +160,66 @@ def test_freed_slot_is_reused_first_fit(make_space):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 96)), max_size=50))
 def test_free_list_variants_agree_with_byte_map(ops):
-    """Both free-list representations must replay any carve/free sequence
-    exactly like the obviously-correct byte-map allocator."""
-    lists = [FreeList(4096, 512), _ArrayFreeList(4096, 512)]
+    """The free list must replay any carve/free sequence exactly like the
+    obviously-correct byte-map allocator.  These lists stay short, so this
+    checks the loop scan; the test below checks the numpy one."""
+    fl = FreeList(4096, 512)
     oracle = ByteMapFirstFit(4096, 512)
     live = []
     for kind, size in ops:
         if kind == 2 and live:
             addr, sz = live.pop(size % len(live))
             oracle.free(addr, sz)
-            for fl in lists:
-                fl.free(addr, sz)
+            fl.free(addr, sz)
         else:
             want = oracle.allocate(size)
-            got = [fl.allocate(size) for fl in lists]
-            assert got == [want, want]
+            assert fl.allocate(size) == want
             if want is not None:
                 live.append((want, size))
-        assert lists[0].max_free() == oracle.max_free()
-        assert [fl.free_bytes() for fl in lists] == [oracle.used.count(0)] * 2
+        assert fl.max_free() == oracle.max_free()
+        assert fl.free_bytes() == oracle.used.count(0)
+
+
+def test_a_long_free_list_agrees_with_byte_map():
+    """A list of several hundred extents, longer than ``SCAN_EXTENTS``, so
+    that allocate scans it with numpy, replays random carves and frees like
+    the byte map: exact fits, fits past the front and carves that fit
+    nowhere."""
+    rng = random.Random(25)
+    base, region = 4096, 16384
+    fl, oracle = FreeList(base, region), ByteMapFirstFit(base, region)
+    blocks = []
+    while True:
+        size = rng.randint(8, 24)
+        want = oracle.allocate(size)
+        assert fl.allocate(size) == want
+        if want is None:
+            break
+        blocks.append((want, size))
+    # freeing every other block leaves one extent per freed block
+    for addr, size in blocks[::2]:
+        fl.free(addr, size)
+        oracle.free(addr, size)
+    live = blocks[1::2]
+    long_carves = long_misses = 0
+    for _ in range(1000):
+        extents = len(re.findall(b"\0+", oracle.used))
+        if live and rng.random() < 0.3:
+            addr, size = live.pop(rng.randrange(len(live)))
+            fl.free(addr, size)
+            oracle.free(addr, size)
+        else:
+            size = rng.randint(1, 40)
+            want = oracle.allocate(size)
+            assert fl.allocate(size) == want
+            if want is None:
+                long_misses += extents > SCAN_EXTENTS
+            else:
+                live.append((want, size))
+            long_carves += extents > SCAN_EXTENTS
+        assert fl.max_free() == oracle.max_free()
+        assert fl.free_bytes() == oracle.used.count(0)
+    assert long_carves > 400 and long_misses > 20
 
 
 # -- LRU accounting ------------------------------------------------------

@@ -118,6 +118,25 @@ def test_purely_local_carves_of_a_build(monkeypatch, variant, calls, failures):
     assert seen == [calls, failures]
 
 
+# Cells whose batch rearrangement meets a node that the current page, still
+# under OCCUPANCY_LIMIT, has no room for: a 256-byte page holds one 136-byte
+# B-tree node, and a skip-list page of small towers may not fit a tall one.
+@pytest.mark.parametrize("variant, page, value", [
+    ("dfs", 256, 1),
+    ("local+dfs", 256, 8),
+    ("veb", 512, 40),
+    ("local+veb", 1024, 100),
+    ("skip-page", 256, 40),
+    ("skip-local+page", 256, 40),
+])
+def test_a_rearrangement_opens_a_page_for_a_node_that_does_not_fit(variant, page, value):
+    cfg = BenchConfig(variant=variant, total_data_bytes=4096, value_size_bytes=value,
+                      l_percent=50, page_size_bytes=page, seed=0)
+    container, _ = _build(cfg)
+    container.validate()
+    assert len(container) == cfg.num_pairs
+
+
 @pytest.mark.parametrize("variant", ["local+dfs", "skip-local+page"])
 def test_a_dropped_container_frees_its_nodes_without_a_collection(variant):
     container, _ = _build(BenchConfig(variant=variant, total_data_bytes=64 * 1024,

@@ -31,9 +31,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farloc import cli, workload
-from farloc.containers import BTree
+from farloc.containers import BTree, btree_block_bytes, tower_block_bytes
+from farloc.containers.btree import ORDER
+from farloc.containers.skiplist import MAX_LEVEL
 from farloc.farmem import (ConfigError, Space, SpaceConfig, SwapStats,
                            UsageError, replay_trace)
 from farloc.workload import (VARIANTS, BenchConfig, PlacementReuse,
@@ -94,6 +98,55 @@ def test_scoped_sweep_reports_equal_per_cell_runs(variant):
                 reused[c] = run_benchmark(c)
     assert [reused[c] for c in cells] == fresh
     assert cli.run_sweep(cells, threads=1) == fresh
+
+
+def _largest_value(variants, page):
+    """The largest value size whose largest node fits a page under every
+    one of ``variants``; a node's size follows the 8-byte value slot."""
+    def fits(slot):
+        return all((btree_block_bytes(slot) if VARIANTS[v][0] is BTree
+                    else tower_block_bytes(MAX_LEVEL, slot)) <= page for v in variants)
+    slot = 8
+    while fits(slot + 8):
+        slot += 8
+    return slot
+
+
+@st.composite
+def small_sweeps(draw):
+    """A small valid sweep as its cells, in any order: any variants, page
+    and value sizes whose largest node fits a page, data from the smallest
+    valid tree up to 64 KiB, and L that give 0- to 3-page caches."""
+    variants = draw(st.lists(st.sampled_from(list(VARIANTS)), min_size=1,
+                             max_size=12, unique=True))
+    page = draw(st.sampled_from([256, 512, 1024, 2048, 4096, 8192]))
+    value = draw(st.integers(1, _largest_value(variants, page)))
+    pair = 8 + (value + 7) // 8 * 8
+    least = max(ORDER if VARIANTS[v][0] is BTree else 2 for v in variants)
+    data = draw(st.integers(least * pair, 64 * 1024))
+    # a pooled variant's cache holds L's bytes, a local one's half of them
+    l_percents = draw(st.lists(st.sampled_from(
+        [100 * k * page / data for k in (0.5, 1, 2, 3)] + [50.0]),
+        min_size=1, max_size=4))
+    base = BenchConfig(variants[0], data, value, l_percents[0],
+                       num_queries=draw(st.integers(0, 300)),
+                       page_size_bytes=page, seed=draw(st.integers(0, 3)))
+    cells = sweep_cells(
+        base, variants, l_percents,
+        draw(st.lists(st.sampled_from([0.0, 0.8, 1.3]), min_size=1, max_size=2)),
+        draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=2)))
+    return draw(st.permutations(cells))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(small_sweeps())
+def test_small_random_sweeps_equal_fresh_cells(cells):
+    """Any small plan, run serially or on the process pool, gives what
+    fresh cells give: the reuse scopes, their trace replays, the value
+    restores and the pool are invisible in every report."""
+    fresh = [fresh_report(c) for c in cells]
+    assert cli.run_sweep(cells, threads=1) == fresh
+    assert cli.run_sweep(cells, threads=2) == fresh
 
 
 class _Digest:
