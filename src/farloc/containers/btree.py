@@ -5,7 +5,8 @@ space; each node access goes through the space's touch accounting.  The
 placement variant decides where a node created by a split lands:
 
 * ``plain``      -- swappable plain sub-allocator, no placement control
-* ``hint``       -- baseline hint allocator, parent used as the hint
+* ``hint``       -- the hint baseline: the swappable plain pool, with the
+                    parent's page preferred
 * ``local``      -- probe the sub-allocator owning the split node, evicting
                     the least-priority purely-local node on exhaustion
 * ``dfs``        -- probe the sub-allocator owning the split node's parent;

@@ -4,14 +4,14 @@ Where each node lands is the one policy that decides how much a container
 swaps, so every placement decision the B-tree and the skip list share lives
 here, once:
 
-* the allocator a variant needs, and the check that it got it;
 * the priority list, which orders nodes by how many queries pass through
   them, and the purely-local prefix at its front, whose last node is
   ``_least_priority``;
-* ``_place``, the block of a new node: near the hint under the hint
-  allocator, else on the page of a swappable probe node, else in the
-  purely-local region, making room there by moving nodes from the back of
-  the prefix to swappable memory, else plain swappable;
+* ``_place``, the block of a new node: for the hint variant, the plain
+  pool's block near the hint (``CollectiveAllocator.allocate``); otherwise
+  on the page of a swappable probe node, else in the purely-local region,
+  making room there by moving nodes from the back of the prefix to
+  swappable memory, else plain swappable;
 * relocating a node;
 * the destinations of a batch rearrangement.
 
@@ -30,7 +30,7 @@ priority-list links; its block size is read from the space's ledger.
 """
 from __future__ import annotations
 
-from ..collective import CollectiveAllocator, HintAllocator, Kind
+from ..collective import CollectiveAllocator, Kind
 from ..farmem import CapacityExhausted, ConfigError, Handle, UsageError
 
 # A batch rearrangement moves to a fresh per-page sub-allocator once the
@@ -48,23 +48,14 @@ class PlacedContainer:
     its ``ObjectLayout`` in ``_layouts``.
     """
 
-    def __init__(self, allocator, variant, value_slot: int):
+    def __init__(self, allocator: CollectiveAllocator, variant, value_slot: int):
         self._nodes = {}
         if value_slot < 1:
             raise ConfigError(f"value slot must be positive, got {value_slot}")
-        if variant is self.HINT:
-            if not isinstance(allocator, HintAllocator):
-                raise ConfigError("hint variant needs a HintAllocator")
-            self._alloc = None
-            self._halloc = allocator
-        else:
-            if not isinstance(allocator, CollectiveAllocator):
-                raise ConfigError(f"{variant.value} variant needs a CollectiveAllocator")
-            self._alloc = allocator
-            self._halloc = None
-        self._allocator = allocator
+        self._alloc = allocator
         self._space = allocator.space
         self._variant = variant
+        self._hint = variant is self.HINT
         self._value_slot = value_slot
         self._uses_local = variant in self.LOCAL_VARIANTS
         self._layouts = {}
@@ -117,7 +108,7 @@ class PlacedContainer:
         """A block for a new node that will follow node ``stop`` on the
         priority list (None: the head).
 
-        The hint variant takes the hint allocator's block near ``hint``.
+        The hint variant takes the plain pool's block near ``hint``.
         Otherwise a swappable ``probe`` tries the sub-allocator that owns it.
         Then, when the variant has the purely-local region and ``stop`` is
         the head or purely local, a purely-local carve is tried, and each
@@ -126,9 +117,9 @@ class PlacedContainer:
         node ahead of it stay put.  Failing all of that, the block is plain
         swappable.
         """
-        if self._halloc is not None:
-            return self._halloc.allocate(1, layout, hint.h if hint else None)
         alloc = self._alloc
+        if self._hint:
+            return alloc.allocate(1, layout, hint.h if hint else None)
         space = self._space
         if probe and not space.is_purely_local(probe.h):
             try:
@@ -201,14 +192,14 @@ class PlacedContainer:
         if self._least_priority is node and not self._space.is_purely_local(new_h):
             # a swappable destination ends the prefix one node earlier
             self._least_priority = node.prev
-        self._allocator.deallocate(h, 1, layout)
+        self._alloc.deallocate(h, 1, layout)
 
     # -- batch rearrangement ---------------------------------------------
 
     def _destinations(self) -> _Destinations:
         if not self.has_rearrangement:
             raise UsageError(f"variant {self._variant.value} has no batch rearrangement")
-        return _Destinations(self._alloc, self._halloc)
+        return _Destinations(self._alloc, self._hint)
 
     # -- offline inspection (no touch accounting) ------------------------
 
@@ -241,19 +232,19 @@ class PlacedContainer:
 class _Destinations:
     """Where one batch rearrangement moves nodes, in the order it visits them.
 
-    Under the collective allocator: into per-page sub-allocators, listed in
-    ``created``, opening a fresh one once the current one's occupancy
-    reaches ``OCCUPANCY_LIMIT`` or the node does not fit it.  Under the
-    hint allocator: onto the page of the node moved just before, the only
-    control that allocator offers.
+    Into per-page sub-allocators, listed in ``created``, opening a fresh one
+    once the current one's occupancy reaches ``OCCUPANCY_LIMIT`` or the node
+    does not fit it.  For the hint variant: into the plain pool, onto the
+    page of the node moved just before, the only control the hint baseline
+    offers; it opens no per-page sub-allocator.
     """
 
-    def __init__(self, alloc, halloc):
+    def __init__(self, alloc: CollectiveAllocator, hint: bool):
         self._alloc = alloc
-        self._halloc = halloc
-        self._last: Handle = 0
+        self._hint = hint
+        self._last: Handle | None = None
         self.created = []
-        if alloc is not None:
+        if not hint:
             self._page = self._fresh()
 
     def _fresh(self):
@@ -262,8 +253,8 @@ class _Destinations:
         return ref
 
     def place(self, layout) -> Handle:
-        if self._halloc is not None:
-            self._last = self._halloc.allocate(1, layout, self._last or None)
+        if self._hint:
+            self._last = self._alloc.allocate(1, layout, self._last)
             return self._last
         if self._alloc.is_occupancy_under(self._page, OCCUPANCY_LIMIT):
             try:

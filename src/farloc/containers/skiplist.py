@@ -4,7 +4,8 @@ Placement mirrors the B-tree variants, adapted to a structure without parent
 links:
 
 * ``plain``      -- swappable plain sub-allocator
-* ``hint``       -- hint allocator, key-order predecessor as the hint
+* ``hint``       -- the hint baseline: the swappable plain pool, with the
+                    key-order predecessor's page preferred
 * ``local``      -- probe the sub-allocator owning the new node's
                     priority-list predecessor, evicting from the back of the
                     purely-local prefix on exhaustion

@@ -65,8 +65,9 @@ class SpaceConfig:
 
     def __post_init__(self) -> None:
         p = self.page_size_bytes
-        if p < 256 or p & (p - 1):
-            raise ConfigError(f"page size must be a power of two >= 256, got {p}")
+        # a page's free extent sizes are int64s (FreeList's array('q'))
+        if p < 256 or p > 1 << 62 or p & (p - 1):
+            raise ConfigError(f"page size must be a power of two in [256, 2**62], got {p}")
         if self.purely_local_capacity_bytes < 0:
             raise ConfigError("purely-local capacity must be >= 0")
         if self.purely_local_capacity_bytes > SWAP_BASE - LOCAL_BASE:

@@ -6,21 +6,14 @@ Priority-list bookkeeping links and parent back-links are excluded; the
 former are not on the query path, the latter would double-count each edge.
 
 :func:`link_composition`, the census, classifies each link inline from the
-pages of its two ends.  :func:`classify_link` and :class:`LinkClass` stay as
-the one-link definition that the tests check the census against.
+pages of its two ends; the tests check it against a one-link definition of
+the three classes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-from .farmem import Handle, Space, UsageError
-
-
-class LinkClass(Enum):
-    PURELY_LOCAL = "purely_local"
-    IN_PAGE = "in_page"
-    CROSS_PAGE = "cross_page"
+from .farmem import UsageError
 
 
 @dataclass(frozen=True)
@@ -28,20 +21,6 @@ class LinkComposition:
     purely_local_ratio: float
     in_page_ratio: float
     cross_page_ratio: float
-
-
-def classify_link(space: Space, a: Handle, b: Handle) -> LinkClass:
-    """Purely-local when both ends are in the purely-local region, in-page
-    when both sit on one swapping page, cross-page otherwise.  The census
-    applies this rule inline; this one-link form is what it is checked
-    against."""
-    pa = space.page_of(a)
-    pb = space.page_of(b)
-    if pa is None and pb is None:
-        return LinkClass.PURELY_LOCAL
-    if pa is not None and pa == pb:
-        return LinkClass.IN_PAGE
-    return LinkClass.CROSS_PAGE
 
 
 def link_composition(container) -> LinkComposition:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import CollectiveAllocator, HintAllocator
+from .collective import CollectiveAllocator
 from .containers import (BTree, BTreeVariant, SkipList, SkipListVariant,
                          btree_block_bytes, tower_block_bytes)
 from .containers.btree import ORDER
@@ -368,8 +368,7 @@ def _build(cfg: BenchConfig, trace: array | None = None):
     pl_bytes, cache_pages = local_budget(cfg)
     space = Space(SpaceConfig(cfg.page_size_bytes, pl_bytes, cache_pages))
     with _recording(space, trace):
-        allocator = (HintAllocator(space) if variant is cls.HINT
-                     else CollectiveAllocator(space))
+        allocator = CollectiveAllocator(space)
         value_slot = cfg.pair_size_bytes - 8
         if cls is BTree:
             container = BTree(allocator, variant, value_slot=value_slot)

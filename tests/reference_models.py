@@ -7,6 +7,7 @@ package's build, census and query run without its reuse scope.
 ``sweep_cells`` builds a sweep's cells in the order the CLI gives them.
 """
 from dataclasses import replace
+from enum import Enum
 
 from farloc import workload
 from farloc.farmem import SWAP_BASE
@@ -141,6 +142,26 @@ def ref_fnv1a_64(data: bytes) -> int:
         h ^= b
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+class LinkClass(Enum):
+    PURELY_LOCAL = "purely_local"
+    IN_PAGE = "in_page"
+    CROSS_PAGE = "cross_page"
+
+
+def classify_link(space, a, b) -> LinkClass:
+    """One link's class: purely-local when both ends are in the purely-local
+    region, in-page when both sit on one swapping page, cross-page
+    otherwise.  ``metrics.link_composition`` applies this rule inline over
+    every link; this one-link form is what it is checked against."""
+    pa = space.page_of(a)
+    pb = space.page_of(b)
+    if pa is None and pb is None:
+        return LinkClass.PURELY_LOCAL
+    if pa is not None and pa == pb:
+        return LinkClass.IN_PAGE
+    return LinkClass.CROSS_PAGE
 
 
 def page_index(handle: int, page_size: int) -> int:

@@ -88,9 +88,9 @@ class SweepLab:
     def _note_build(self, cfg, container):
         label = f"{cfg.variant} L={cfg.l_percent:g}"
         self._nodes[(cfg.variant, cfg.l_percent)] = container.node_count
-        alloc = container._alloc
-        if alloc is None or not container.has_rearrangement:
+        if container._hint or not container.has_rearrangement:
             return
+        alloc = container._alloc
         bound = OCCUPANCY_LIMIT + self._max_block(container) / BASE.page_size_bytes
         occs = [alloc.occupancy(ref)
                 for ref in set(alloc.page_owner_map().values())

@@ -49,10 +49,6 @@ def test_config_errors():
     alloc = CollectiveAllocator(space)
     with pytest.raises(ConfigError):
         BTree(alloc, BTreeVariant.PLAIN, value_slot=0)
-    with pytest.raises(ConfigError):
-        BTree(alloc, BTreeVariant.HINT)
-    with pytest.raises(ConfigError):
-        BTree(HintAllocator(space), BTreeVariant.PLAIN)
 
 
 def test_node_block_size():

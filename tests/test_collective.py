@@ -403,6 +403,69 @@ def test_hint_allocator_matches_a_byte_map_per_page(seed):
     assert all(space.page_allocated_bytes(p) == 0 for p in order)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_hinted_and_plain_requests_share_one_pool(seed):
+    """Hinted ``allocate``, unhinted plain ``sub_allocate`` and frees,
+    interleaved on one allocator, with purely-local blocks among the hints:
+    both entries place by the same per-page first fit over one pool of
+    pages, a fitting hint's page first, and the plain pool owns every page
+    the run opens."""
+    rng = random.Random(seed)
+    page_size = 1024
+    space = Space(SpaceConfig(page_size, 4096))
+    alloc = CollectiveAllocator(space)
+    oracles = {}        # page -> byte map
+    order = []          # the pool's pages in creation order
+    live = []           # (handle, size) of the pool's blocks
+    local = []          # purely-local blocks of 16 bytes
+    hinted = 0
+    for _ in range(600):
+        op = rng.random()
+        if op < 0.3 and live:
+            h, n = live.pop(rng.randrange(len(live)))
+            alloc.deallocate(h, 1, ObjectLayout(n))
+            oracles[page_index(h, page_size)].free(h, n)
+            continue
+        if op < 0.35:
+            if len(local) < 16:
+                local.append(alloc.sub_allocate(alloc.purely_local, 1, L16))
+            else:
+                alloc.deallocate(local.pop(rng.randrange(len(local))), 1, L16)
+            continue
+        size = rng.choice((16, 48, 200, 512, rng.randrange(1, page_size + 1)))
+        want = hint = None
+        if op < 0.65:
+            h = alloc.sub_allocate(alloc.swappable_plain, 1, ObjectLayout(size))
+        else:
+            if live and op < 0.9:
+                hint = rng.choice(live)[0]
+            elif local:
+                hint = rng.choice(local)
+            h = alloc.allocate(1, ObjectLayout(size), hint=hint)
+            if hint is not None and hint >= SWAP_BASE:
+                want = oracles[page_index(hint, page_size)].allocate(size)
+                hinted += want is not None
+        if want is None:
+            for page in order:
+                want = oracles[page].allocate(size)
+                if want is not None:
+                    break
+            else:
+                page = page_index(h, page_size)
+                assert page == space.num_pages - 1, "a new page must be a fresh one"
+                oracles[page] = ByteMapFirstFit(SWAP_BASE + page * page_size, page_size)
+                order.append(page)
+                want = oracles[page].allocate(size)
+        assert h == want
+        live.append((h, size))
+    assert hinted > 10, "the run must place blocks on their hint's page"
+    assert order == list(range(space.num_pages))
+    assert alloc.page_owner_map() == dict.fromkeys(order, alloc.swappable_plain)
+    for h, n in live:
+        alloc.deallocate(h, 1, ObjectLayout(n))
+    assert all(space.page_allocated_bytes(p) == 0 for p in order)
+
+
 # -- request errors, one table for both allocators ----------------------
 
 def _collective(space):
@@ -447,8 +510,8 @@ def test_request_errors(make_space, allocator, bad):
     assert space.page_of(allocate(1, L512)) == 0
 
 
-# blocks the hint allocator did not carve: on a page it does not own, and in
-# the purely-local region
+# blocks the plain pool did not carve: on a page the allocator does not own,
+# and in the purely-local region, which the allocator owns
 FOREIGN_BLOCKS = {
     "foreign-page": lambda space: space.carve_in_page(space.create_page(), 64),
     "purely-local": lambda space: space.carve_purely_local(64),
@@ -464,9 +527,15 @@ def test_hint_allocator_keeps_to_its_own_pages(make_space, where):
     # a hint off the allocator's pages is not followed: first fit opens one
     h = halloc.allocate(1, layout, hint=foreign)
     assert space.page_of(h) not in (None, space.page_of(foreign))
-    # a free of a block off its pages fails before it frees anything
-    with pytest.raises(UsageError):
+    if where == "foreign-page":
+        # a free of a block off its pages fails before it frees anything
+        with pytest.raises(UsageError):
+            halloc.deallocate(foreign, 1, layout)
+        assert space.block_size(foreign) == 64
+    else:
+        # the collective allocator owns the purely-local region: the free
+        # succeeds
         halloc.deallocate(foreign, 1, layout)
-    assert space.block_size(foreign) == 64
+        assert space.purely_local_allocated_bytes == 0
     assert space.block_size(h) == 64
     halloc.deallocate(h, 1, layout)

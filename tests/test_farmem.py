@@ -25,10 +25,20 @@ from reference_models import ByteMapFirstFit, NaiveLru, ReplayLru, page_index
 
 # -- configuration -------------------------------------------------------
 
-@pytest.mark.parametrize("page", [0, 1, 100, 255, 4095, 6000])
+@pytest.mark.parametrize("page", [0, 1, 100, 255, 4095, 6000, 2**63, 2**64])
 def test_rejects_bad_page_sizes(page):
     with pytest.raises(ConfigError):
         SpaceConfig(page_size_bytes=page)
+
+
+def test_the_largest_page_size_opens_a_page():
+    # 2**62 is the largest power of two a free list's int64 extent sizes hold
+    space = Space(SpaceConfig(page_size_bytes=2**62))
+    page = space.create_page()
+    h = space.carve_in_page(page, 64)
+    assert space.page_max_free(page) == 2**62 - 64
+    space.free(h)
+    assert space.page_max_free(page) == 2**62
 
 
 def test_rejects_negative_capacities():

@@ -7,8 +7,9 @@ from farloc import workload
 from farloc.collective import CollectiveAllocator
 from farloc.containers import BTree, BTreeVariant, SkipList, SkipListVariant
 from farloc.farmem import Space, SpaceConfig, UsageError
-from farloc.metrics import LinkClass, classify_link, link_composition
+from farloc.metrics import link_composition
 from farloc.workload import VARIANTS, BenchConfig
+from reference_models import LinkClass, classify_link
 
 
 def two_pages(space):

@@ -47,10 +47,6 @@ def test_config_errors():
     alloc = CollectiveAllocator(space)
     with pytest.raises(ConfigError):
         SkipList(alloc, SkipListVariant.PLAIN, value_slot=0)
-    with pytest.raises(ConfigError):
-        SkipList(alloc, SkipListVariant.HINT)
-    with pytest.raises(ConfigError):
-        SkipList(HintAllocator(space), SkipListVariant.PLAIN)
 
 
 def test_block_size_arithmetic():
