@@ -58,16 +58,6 @@ def _request_bytes(count: int, layout: ObjectLayout) -> int:
     return count * layout.size_bytes
 
 
-def _check_free(space: Space, handle: Handle, count: int, layout: ObjectLayout) -> None:
-    """Check that ``handle`` names a live block of ``count`` objects of
-    ``layout``, as a deallocation must."""
-    expected = _request_bytes(count, layout)
-    actual = space.block_size(handle)
-    if actual != expected:
-        raise UsageError(
-            f"deallocate of {expected} bytes but block holds {actual} bytes")
-
-
 class _PagePool:
     """First-fit allocation across an ordered set of owned pages.
 
@@ -131,9 +121,6 @@ class _PagePool:
             right = t[2 * i + 1]
             t[i] = left if left >= right else right
         self._tree = t
-
-    def __contains__(self, page: PageId | None) -> bool:
-        return page in self._pos
 
     def refresh(self, page: PageId) -> None:
         """Re-read the largest free extent of owned ``page``."""
@@ -288,7 +275,11 @@ class CollectiveAllocator:
         space = self._space
         page = space.page_of(handle)   # validates the handle
         owner = self._owner(handle, page)
-        _check_free(space, handle, count, layout)
+        expected = _request_bytes(count, layout)
+        actual = space.block_size(handle)
+        if actual != expected:
+            raise UsageError(
+                f"deallocate of {expected} bytes but block holds {actual} bytes")
         space.free(handle)
         if owner is self._plain:
             self._plain_pool.refresh(page)
